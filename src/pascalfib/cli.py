@@ -345,7 +345,7 @@ class CampaignConfig:
         if not self.primes:
             raise UsageError("prime list must be nonempty")
         for p in self.primes:
-            if p >= MAX_P or not is_prime(p):
+            if p > MAX_P or not is_prime(p):
                 raise UsageError(f"invalid prime {p} (must be prime, < 2^31)")
         if self.output_format not in ("json", "csv", "plain"):
             raise UsageError(f"unknown output format {self.output_format!r}")

@@ -49,6 +49,24 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def prime_factors(x: int) -> tuple[int, ...]:
+    """Distinct prime factors of x >= 1 in ascending order, by trial
+    division: at most about sqrt(x) / 2 steps (46 341 below 2^33)."""
+    if x < 1:
+        raise ValueError("only positive integers have prime factors")
+    factors = []
+    q = 2
+    while q * q <= x:
+        if x % q == 0:
+            factors.append(q)
+            while x % q == 0:
+                x //= q
+        q += 1 if q == 2 else 2
+    if x > 1:
+        factors.append(x)
+    return tuple(factors)
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Immutable square matrix of arbitrary-precision integers."""

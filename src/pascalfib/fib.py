@@ -1,11 +1,31 @@
 """Fibonacci and Lucas numbers and their structure modulo an integer.
 
+Exact values F_k come from a table built at import for every index a
+campaign asks for (k < 130 covers the laws, Lucas numbers and the
+identities at |e| <= 64); larger indices are computed by exact fast
+doubling and not cached, so memory does not grow with the index.
+Modular values never go through exact ones: fib_pair_mod reduces
+modulo m at every doubling step.
+
 Two modular quantities drive everything downstream: the entry point of
 a modulus m (the least k > 0 with m | F_k, also called the rank of
 apparition) and the Pisano period (the least k > 0 with F_k = 0 and
-F_{k+1} = 1 mod m). Both are found by forward iteration with the
-classical 6m period bound as a hard safety stop, and are memoized per
-modulus since verification campaigns query them repeatedly.
+F_{k+1} = 1 mod m). For a prime p other than 2 and 5 both come from
+fast doubling in O(sqrt(p)) steps at most:
+
+* entry point: F_N = 0 mod p is confirmed for N = p - (5|p), then
+  prime factors q are stripped from N while F_{N/q} stays 0 mod p.
+  p | F_k exactly when the entry point divides k, so what is left is
+  the entry point. Should the confirmation fail, the forward scan
+  answers instead, which keeps the Bloom-Wall check a real test.
+* Pisano period: pi(p) = e * ord_p(F_{e+1}) (Vinson 1963), with the
+  multiplicative order found by factor removal over p - 1 (Fermat), so
+  the period is not derived from the Bloom-Wall bound it is checked
+  against.
+
+Composite moduli and p = 2, 5 use forward iteration with the classical
+6m period bound as a hard safety stop. Both quantities are memoized
+per modulus since verification campaigns query them repeatedly.
 
 Also here: the Bloom-Wall divisibility checks, the period-exactness
 corollary, the Hardy-Wright binomial formula for F_j, and the Cassini /
@@ -14,23 +34,37 @@ sum-of-squares identities, all verified in exact integer arithmetic.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
-from .core import is_prime
+from .core import is_prime, prime_factors
 from .pascal import binomial
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
-_fib_values: list[int] = [0, 1]
+
+def _fib_table(size: int) -> tuple[int, ...]:
+    values = [0, 1]
+    while len(values) < size:
+        values.append(values[-1] + values[-2])
+    return tuple(values)
+
+
+# F_0 .. F_129: read-only, so safe to share across threads.
+_FIB_TABLE = _fib_table(130)
 
 
 def fib(k: int) -> int:
     """Exact F_k with F_0 = 0, F_1 = 1."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    values = _fib_values
-    while len(values) <= k:
-        values.append(values[-1] + values[-2])
-    return values[k]
+    if k < len(_FIB_TABLE):
+        return _FIB_TABLE[k]
+    a, b = 0, 1  # exact fast doubling, as in fib_pair_mod
+    for bit in bin(k)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
 
 
 def lucas(k: int) -> int:
@@ -69,16 +103,22 @@ class FibModData:
 
 
 _mod_data: dict[int, FibModData] = {}
+_mod_data_lock = threading.Lock()
 
 
 def fib_mod_data(m: int) -> FibModData:
-    """Memoized per-modulus data; the cache is insert-only."""
+    """Memoized per-modulus data, computed once per modulus."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    data = _mod_data.get(m)
-    if data is None:
-        data = FibModData(m, _entry_point_scan(m), _pisano_scan(m))
-        _mod_data[m] = data
+    with _mod_data_lock:
+        data = _mod_data.get(m)
+        if data is None:
+            if m in (2, 5) or not is_prime(m):
+                data = FibModData(m, _entry_point_scan(m), _pisano_scan(m))
+            else:
+                e = _entry_point_prime(m)
+                data = FibModData(m, e, _pisano_prime(m, e))
+            _mod_data[m] = data
     return data
 
 
@@ -90,6 +130,32 @@ def entry_point(m: int) -> int:
 def pisano_period(m: int) -> int:
     """Least k > 0 with (F_k, F_{k+1}) = (0, 1) mod m."""
     return fib_mod_data(m).pisano_period
+
+
+def _bloom_wall_multiple(p: int) -> int:
+    """p - (5|p): the multiple of the entry point that Bloom-Wall predicts."""
+    return p - 1 if p % 5 in (1, 4) else p + 1
+
+
+def _entry_point_prime(p: int) -> int:
+    n = _bloom_wall_multiple(p)
+    if fib_pair_mod(n, p)[0] != 0:
+        return _entry_point_scan(p)
+    for q in prime_factors(n):
+        while n % q == 0 and fib_pair_mod(n // q, p)[0] == 0:
+            n //= q
+    return n
+
+
+def _pisano_prime(p: int, e: int) -> int:
+    # (F_e, F_{e+1}) = (0, s), so the sequence restarts scaled by s
+    # every e steps and returns to (0, 1) after e * ord_p(s) steps.
+    s = fib_pair_mod(e, p)[1]
+    order = p - 1
+    for q in prime_factors(p - 1):
+        while order % q == 0 and pow(s, order // q, p) == 1:
+            order //= q
+    return e * order
 
 
 def _entry_point_scan(m: int) -> int:

@@ -4,9 +4,12 @@ congruence theorems that pin them down.
 The order of the left matrix mod p is exactly p (for n >= 2). For the
 right matrix, the entry point e of p in the Fibonacci sequence gives
 R_n**e = s * I mod p for an explicit scalar s, hence R_n**(4e) = I, so
-the exact order is found by testing the divisors of the annihilating
-exponent 4e in ascending order rather than by stepping one power at a
-time.
+the exact order is found by factor removal: starting from the
+annihilating exponent N = 4e, each prime q dividing N is stripped for
+as long as M**(N/q) = I, which takes O(omega(N) * log N) powers rather
+than one per divisor. The right-matrix order is computed once per
+(n, p) and shared by every theorem check that reports it. Fibonacci
+values enter only as residues, by fast doubling mod p.
 
 Two edge cases discovered by direct computation are handled explicitly
 and surface as hypothesis-not-met rather than failures:
@@ -14,17 +17,20 @@ and surface as hypothesis-not-met rather than failures:
 * p = 5: the 2(p+1) order bound fails in even dimensions, where the
   order is 4e = 20 > 12. The divisibility argument behind the bound
   needs p != 5 (it comes from the p = +-1 / +-2 mod 5 dichotomy).
-* p = 2: the bound-tightness claim fails because -I = I mod 2; even
-  dimensions have order 3, not 2(p+1) = 6. Tightness needs an odd
-  prime in the +-2 mod 5 class.
+* Bound tightness (order exactly 2(p+1) in even dimensions) is only
+  claimed where the Pisano period is 2(p+1). A prime in the +-2 mod 5
+  class can have a smaller entry point (p = 4157: e = 297), and then
+  the order divides 4e < 2(p+1). This also excludes p = 2, where
+  -I = I and even dimensions have order 3, with period 3.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
-from .core import ModMatrix, is_prime, mat_mod, modmat_pow
-from .fib import entry_point, fib
+from .core import ModMatrix, is_prime, mat_mod, modmat_pow, prime_factors
+from .fib import entry_point, fib_pair_mod, pisano_period
 from .pascal import build_left, build_right, left_power_entry
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
@@ -51,18 +57,6 @@ class OrderReport:
         return all(c.verdict != FAIL for c in self.theorem_checks.values())
 
 
-def _divisors_ascending(x: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= x:
-        if x % d == 0:
-            small.append(d)
-            if d != x // d:
-                large.append(x // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _is_invertible(m: ModMatrix) -> bool:
     # Gaussian elimination over the field Z/p.
     a = [list(row) for row in m.rows]
@@ -84,9 +78,9 @@ def _is_invertible(m: ModMatrix) -> bool:
 def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
     """Exact multiplicative order of m, given an annihilating exponent.
 
-    The order is the least divisor d of exponent_bound with m**d = I,
-    so the divisors are enumerated in ascending order and tested by
-    binary powering.
+    The order divides exponent_bound, so each prime factor q is removed
+    from the bound while m**(bound/q) is still the identity; what is
+    left is the least annihilating exponent.
     """
     if exponent_bound < 1:
         raise ValueError("exponent bound must be positive")
@@ -95,10 +89,11 @@ def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
     ident = ModMatrix.identity(m.n, m.p)
     if modmat_pow(m, exponent_bound) != ident:
         raise ValueError("bound is not annihilating")
-    for d in _divisors_ascending(exponent_bound):
-        if modmat_pow(m, d) == ident:
-            return d
-    raise AssertionError("unreachable: the bound itself annihilates")
+    order = exponent_bound
+    for q in prime_factors(exponent_bound):
+        while order % q == 0 and modmat_pow(m, order // q) == ident:
+            order //= q
+    return order
 
 
 def _neg_one_pow(exponent: int, p: int) -> int:
@@ -128,15 +123,25 @@ def verify_left_order(n: int, p: int) -> OrderReport:
     return OrderReport("left", n, p, order, p, checks)
 
 
+# (n, p) -> (entry point, order of R_n mod p). Only integers are kept,
+# so the memo stays small however many (n, p) a campaign visits; the
+# lock makes each order search run once even under --threads.
+_right_orders: dict[tuple[int, int], tuple[int, int]] = {}
+_right_orders_lock = threading.Lock()
+
+
 def _right_order_data(n: int, p: int) -> tuple[ModMatrix, int, int]:
     if n < 2:
         raise ValueError("right-matrix theorems require n >= 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     rm = mat_mod(build_right(n), p)
-    e = entry_point(p)
-    order = matrix_order_mod(rm, 4 * e)
-    return rm, e, order
+    with _right_orders_lock:
+        data = _right_orders.get((n, p))
+        if data is None:
+            e = entry_point(p)
+            data = _right_orders[(n, p)] = (e, matrix_order_mod(rm, 4 * e))
+    return (rm, *data)
 
 
 def verify_scalar_power(n: int, p: int) -> OrderReport:
@@ -148,7 +153,7 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
     """
     rm, e, order = _right_order_data(n, p)
     re = modmat_pow(rm, e)
-    f_prev = fib(e - 1) % p
+    f_prev = fib_pair_mod(e - 1, p)[0]
     generic = pow(f_prev, n - 1, p)
     if n % 2 == 0:
         k = n // 2
@@ -174,7 +179,7 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
 def verify_pminus1(n: int, p: int) -> OrderReport:
     """If p | F_{p-1}, assert R_n**(p-1) = I mod p."""
     rm, e, order = _right_order_data(n, p)
-    if fib(p - 1) % p != 0:
+    if fib_pair_mod(p - 1, p)[0] != 0:
         checks = {"p-minus-1-identity": CheckResult(HYPOTHESIS_NOT_MET)}
     else:
         ok = modmat_pow(rm, p - 1) == ModMatrix.identity(n, p)
@@ -185,7 +190,7 @@ def verify_pminus1(n: int, p: int) -> OrderReport:
 def verify_pplus1(n: int, p: int) -> OrderReport:
     """If p | F_{p+1}, assert R_n**(p+1) = I (odd n) or -I (even n) mod p."""
     rm, e, order = _right_order_data(n, p)
-    if fib(p + 1) % p != 0:
+    if fib_pair_mod(p + 1, p)[0] != 0:
         checks = {"p-plus-1-identity": CheckResult(HYPOTHESIS_NOT_MET)}
     else:
         scalar = 1 if n % 2 == 1 else (p - 1) % p
@@ -200,8 +205,8 @@ def verify_order_bound(n: int, p: int) -> OrderReport:
 
     The bound check excludes p = 5 (see the module notes: even
     dimensions have order 20 > 12 there). The tightness check asserts
-    order == 2(p+1) exactly, and applies only to odd primes in the
-    +-2 mod 5 class with n even.
+    order == 2(p+1) exactly, and applies only with n even to primes in
+    the +-2 mod 5 class whose Pisano period is 2(p+1).
     """
     rm, e, order = _right_order_data(n, p)
     if p == 5:
@@ -209,7 +214,7 @@ def verify_order_bound(n: int, p: int) -> OrderReport:
     else:
         bound_check = CheckResult(PASS if order <= 2 * (p + 1) else FAIL,
                                   {"order": order, "bound": 2 * (p + 1)})
-    if p % 5 in (2, 3) and p != 2 and n % 2 == 0:
+    if p % 5 in (2, 3) and n % 2 == 0 and pisano_period(p) == 2 * (p + 1):
         tight_check = CheckResult(PASS if order == 2 * (p + 1) else FAIL,
                                   {"order": order, "bound": 2 * (p + 1)})
     else:

@@ -3,12 +3,23 @@
 Nothing here shares an algorithm with the library: determinants come
 from the permutation expansion, characteristic polynomials from
 cofactor expansion over polynomial entries, Fibonacci data from naive
-iteration. Slow on purpose; only run at small sizes.
+iteration, matrix orders from one power per divisor of the bound.
+The last two are the slow paths that the library's prime fast paths
+and factor-removal order search are tested against.
+Slow on purpose; only run at small sizes.
 """
 
 from itertools import permutations
 
-from pascalfib.core import ExactMatrix, IntPolynomial, mat_add, mat_mul, mat_scale
+from pascalfib.core import (
+    ExactMatrix,
+    IntPolynomial,
+    ModMatrix,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    modmat_pow,
+)
 
 
 def det_permanent_expansion(m: ExactMatrix) -> int:
@@ -85,3 +96,25 @@ def pisano_naive(m: int) -> int:
         k += 1
         if (a, b) == (0, 1):
             return k
+
+
+def primes_below(limit: int) -> list[int]:
+    """Sieve of Eratosthenes."""
+    sieve = [True] * limit
+    sieve[:2] = [False] * min(2, limit)
+    for q in range(2, int(limit ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, limit, q))
+    return [q for q, flag in enumerate(sieve) if flag]
+
+
+def prime_factors_naive(x: int) -> list[int]:
+    return [q for q in range(2, x + 1)
+            if x % q == 0 and all(q % r for r in range(2, q))]
+
+
+def matrix_order_by_divisors(m: ModMatrix, exponent_bound: int) -> int:
+    """Least divisor d of exponent_bound with m**d = I, tried in ascending order."""
+    ident = ModMatrix.identity(m.n, m.p)
+    return next(d for d in range(1, exponent_bound + 1)
+                if exponent_bound % d == 0 and modmat_pow(m, d) == ident)

@@ -18,6 +18,7 @@ from pascalfib.fib import (
     check_identities,
     entry_point,
     fib,
+    fib_pair_mod,
     fib_via_binomials,
     pisano_period,
 )
@@ -234,7 +235,10 @@ class TestCriterion13MutationAudit:
         assert rep.first_mismatch_degree is not None
 
     def test_scalar_power_fib_corruption(self, monkeypatch):
-        monkeypatch.setattr(modorder, "fib", lambda k: fib(k) + (k == 6))
+        def corrupted(k, m):
+            a, b = fib_pair_mod(k, m)
+            return (a + (k == 6)) % m, b
+        monkeypatch.setattr(modorder, "fib_pair_mod", corrupted)
         rep = modorder.verify_scalar_power(4, 13)
         assert not rep.passed
 

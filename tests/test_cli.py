@@ -172,6 +172,30 @@ class TestVerifyCommand:
                          "--primes", "4")
         assert code == 2
 
+    def test_largest_prime_below_2_31_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--laws", "bloom-wall",
+                           "--primes", "2147483647", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["checks"][0]["verdict"] == PASS
+
+    def test_next_prime_above_2_31_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--laws", "bloom-wall",
+                             "--primes", "2147483659")
+        assert code == 2
+        assert out == ""
+        assert "invalid prime 2147483659 (must be prime, < 2^31)" in err
+
+    def test_tightness_hypothesis_not_met_at_small_entry_point(self, capsys):
+        # 4157 = 2 mod 5 has entry point 297 < p + 1.
+        code, out, _ = run(capsys, "verify", "--laws", "order-bound",
+                           "--n", "2..4", "--primes", "4157", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["summary"] == {"pass": 3, "fail": 0}
+        code, out, _ = run(capsys, "order", "right", "4", "4157")
+        assert code == 0
+        assert "check tightness-even-dimension: hypothesis-not-met" in out
+
     def test_deterministic_output(self, capsys):
         args = ("verify", "--laws", "identities,hardy-wright", "--e", "1..30",
                 "--format", "json")

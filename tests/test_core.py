@@ -14,11 +14,17 @@ from pascalfib.core import (
     mat_pow,
     modmat_mul,
     modmat_pow,
+    prime_factors,
     unimodular_inverse,
 )
 from pascalfib.pascal import build_left, build_right
 
-from oracles import charpoly_cofactor, det_permanent_expansion, poly_at_matrix
+from oracles import (
+    charpoly_cofactor,
+    det_permanent_expansion,
+    poly_at_matrix,
+    prime_factors_naive,
+)
 
 R2 = ExactMatrix.from_rows([[0, 1], [1, 1]])
 
@@ -156,6 +162,23 @@ class TestModMatrix:
            st.sampled_from([2, 3, 5, 7, 11]))
     def test_reduction_commutes_with_powering(self, a, e, p):
         assert mat_mod(mat_pow(a, e), p) == modmat_pow(mat_mod(a, p), e)
+
+
+class TestPrimeFactors:
+    @given(st.integers(1, 3000))
+    def test_matches_naive(self, x):
+        assert list(prime_factors(x)) == prime_factors_naive(x)
+
+    def test_documented_limit(self):
+        assert prime_factors(2**31 - 1) == (2**31 - 1,)
+        assert prime_factors(2**31) == (2,)
+        # 4(p - 1) at the prime p = 2^31 - 19 = 2^4 * 3^2 * 59652323.
+        assert prime_factors(4 * (2**31 - 20)) == (2, 3, 59652323)
+        assert is_prime(59652323)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            prime_factors(0)
 
 
 class TestDet:

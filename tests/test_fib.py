@@ -1,5 +1,7 @@
+import importlib
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pascalfib.fib import (
@@ -16,10 +18,14 @@ from pascalfib.fib import (
 )
 from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
-from oracles import entry_point_naive, fib_naive, pisano_naive
+from oracles import entry_point_naive, fib_naive, pisano_naive, primes_below
 
 PRIMES_UNDER_100 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+PRIMES_UNDER_10K = primes_below(10_000)
+
+# `pascalfib.fib` the attribute is the function; the module is in sys.modules.
+fib_module = importlib.import_module("pascalfib.fib")
 
 
 class TestSequences:
@@ -31,6 +37,10 @@ class TestSequences:
     def test_fib_against_naive_loop(self):
         for k in range(0, 200, 7):
             assert fib(k) == fib_naive(k)
+
+    def test_exact_values_across_the_table_edge(self):
+        for k in (*range(120, 140), 500, 1000):
+            assert fib(k) == fib_naive(k), k
 
     def test_fib_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -100,6 +110,35 @@ class TestEntryPointAndPeriod:
             e = entry_point(p)
             assert fib(e) % p == 0
             assert fib(e - 1) % p != 0
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(PRIMES_UNDER_10K))
+    def test_prime_fast_paths_match_scans(self, p):
+        assert entry_point(p) == entry_point_naive(p)
+        assert pisano_period(p) == pisano_naive(p)
+
+    def test_primes_skip_the_scans(self, monkeypatch):
+        def no_scan(m):
+            raise AssertionError(f"scanned modulo {m}")
+        monkeypatch.setattr(fib_module, "_mod_data", {})
+        monkeypatch.setattr(fib_module, "_entry_point_scan", no_scan)
+        monkeypatch.setattr(fib_module, "_pisano_scan", no_scan)
+        assert fib_mod_data(4157) == fib_module.FibModData(4157, 297, 1188)
+        # 2^31 - 1 = 2 mod 5 has entry point p + 1 = 2^31 and period 2(p + 1).
+        assert fib_mod_data(2**31 - 1) == fib_module.FibModData(2**31 - 1, 2**31, 2**32)
+
+    def test_entry_point_falls_back_to_scan(self, monkeypatch):
+        # F_p = (5|p) mod p is never 0 for p != 5, so starting from p
+        # fails the F_N = 0 confirmation and the scan must answer.
+        scanned = []
+        scan = fib_module._entry_point_scan
+        monkeypatch.setattr(fib_module, "_mod_data", {})
+        monkeypatch.setattr(fib_module, "_bloom_wall_multiple", lambda p: p)
+        monkeypatch.setattr(fib_module, "_entry_point_scan",
+                            lambda m: scanned.append(m) or scan(m))
+        assert entry_point(4157) == 297
+        assert pisano_period(4157) == pisano_naive(4157)
+        assert scanned == [4157]
 
     def test_memoization_returns_same_object(self):
         assert fib_mod_data(37) is fib_mod_data(37)

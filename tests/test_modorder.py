@@ -1,5 +1,12 @@
-import pytest
+import sys
+import threading
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pascalfib import modorder
 from pascalfib.core import ModMatrix, mat_mod
 from pascalfib.fib import entry_point
 from pascalfib.modorder import (
@@ -13,7 +20,10 @@ from pascalfib.modorder import (
 from pascalfib.pascal import build_left, build_right
 from pascalfib.report import HYPOTHESIS_NOT_MET, PASS
 
+from oracles import matrix_order_by_divisors, primes_below
+
 TEST_PRIMES = (2, 3, 5, 7, 11, 13)
+PRIMES_UNDER_10K = primes_below(10_000)
 PRIMES_UNDER_100 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -46,6 +56,17 @@ class TestMatrixOrderMod:
         for d in range(1, order):
             if order % d == 0 and d != order:
                 assert not modpow_is_identity(m, d)
+
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(PRIMES_UNDER_10K), st.integers(1, 6),
+           st.sampled_from(("left", "right")))
+    def test_factor_removal_matches_divisor_walk(self, p, n, kind):
+        if kind == "left":
+            m, bound = mat_mod(build_left(n), p), p
+        else:
+            m, bound = mat_mod(build_right(n), p), 4 * entry_point(p)
+        assert matrix_order_mod(m, bound) == matrix_order_by_divisors(m, bound)
 
 
 def modpow_is_identity(m, e):
@@ -167,9 +188,54 @@ class TestOrderBound:
             assert report.order == 2 * (p + 1), (n, p)
             assert report.theorem_checks["tightness-even-dimension"].verdict == PASS
 
+    @pytest.mark.parametrize("n", (2, 4))
+    def test_tightness_not_claimed_below_maximal_period(self, n):
+        # 4157 = 2 mod 5 has e = 297 < p + 1, so the period is 1188, not
+        # 2(p + 1) = 8316, and the order 1188 is below the bound.
+        report = verify_order_bound(n, 4157)
+        assert report.order == 1188
+        assert report.passed
+        assert (report.theorem_checks["tightness-even-dimension"].verdict
+                == HYPOTHESIS_NOT_MET)
+
     @pytest.mark.parametrize("p", TEST_PRIMES)
     def test_fourth_power_bound_on_grid(self, p):
         e = entry_point(p)
         for n in range(2, 9):
             report = verify_order_bound(n, p)
             assert (4 * e) % report.order == 0
+
+
+class TestRightOrderMemo:
+    def test_one_order_search_per_n_p_under_threads(self, monkeypatch):
+        searches = Counter()
+        search = modorder.matrix_order_mod
+
+        def counted(m, bound):
+            searches[(m.n, m.p)] += 1
+            return search(m, bound)
+
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        monkeypatch.setattr(modorder, "matrix_order_mod", counted)
+        grid = [(n, p) for n in range(2, 6) for p in (7, 11, 13, 29)]
+        laws = (verify_scalar_power, verify_pminus1, verify_pplus1, verify_order_bound)
+        orders = {}
+
+        def work(shift):
+            for n, p in grid[shift:] + grid[:shift]:
+                for law in laws:
+                    orders.setdefault((n, p), set()).add(law(n, p).order)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert searches == Counter(dict.fromkeys(grid, 1))
+        assert all(len(found) == 1 for found in orders.values())
