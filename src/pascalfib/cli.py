@@ -199,13 +199,19 @@ def _to_plain(payload: dict[str, Any]) -> str:
     return "\n".join(f"{k}: {v}" for k, v in payload.items() if k != "object") + "\n"
 
 
+def _order_text(order: int | None) -> str | None:
+    # None (JSON null) when the fourth-power premise failed and no order
+    # was searched for.
+    return None if order is None else str(order)
+
+
 def order_report_payload(report: modorder.OrderReport) -> dict[str, Any]:
     return {
         "object": "order-report",
         "kind": report.matrix_kind,
         "n": report.n,
         "p": report.p,
-        "order": str(report.order),
+        "order": _order_text(report.order),
         "witness_exponent_bound": str(report.witness_exponent_bound),
         "theorem_checks": {
             name: {"verdict": check.verdict,
@@ -382,7 +388,7 @@ def _order_report_check(law: str, params: dict[str, int],
     check: Check = {"law": law, "params": params, "verdict": verdict}
     if verdict == FAIL:
         check["witness"] = {
-            "order": str(report.order),
+            "order": _order_text(report.order),
             "checks": {name: report.theorem_checks[name].verdict for name in names},
         }
     return check
@@ -612,12 +618,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
-        allowed = {"laws", "n_range", "e_range", "primes", "output_format",
-                   "fail_fast", "threads"}
-        bad = set(raw) - allowed
-        if bad:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(bad))}")
-        settings.update(raw)
+        settings.update(_typed_config(raw))
     if args.laws is not None:
         settings["laws"] = [law.strip() for law in args.laws.split(",") if law.strip()]
     if args.n is not None:
@@ -645,6 +646,47 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = run_campaign(cfg)
     emit(payload, cfg.output_format)
     return 0 if payload["summary"]["fail"] == 0 else 1
+
+
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bools, which Python also counts as ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_int_pair(value: Any) -> bool:
+    return _is_int_list(value) and len(value) == 2
+
+
+# Config key -> (what its value must be, type check).
+CONFIG_SCHEMA: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "laws": ("a list of law id strings",
+             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "n_range": ("a pair of integers [A, B]", _is_int_pair),
+    "e_range": ("a pair of integers [A, B]", _is_int_pair),
+    "primes": ("a list of integers", _is_int_list),
+    "output_format": ("a string", lambda v: isinstance(v, str)),
+    "fail_fast": ("true or false", lambda v: isinstance(v, bool)),
+    "threads": ("an integer", _is_int),
+}
+
+
+def _typed_config(raw: Any) -> dict[str, Any]:
+    """The settings of a loaded JSON config, each checked against CONFIG_SCHEMA."""
+    if not isinstance(raw, dict):
+        raise UsageError("config must be a JSON object")
+    bad = set(raw) - set(CONFIG_SCHEMA)
+    if bad:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(bad))}")
+    for key, value in raw.items():
+        what, ok = CONFIG_SCHEMA[key]
+        if not ok(value):
+            raise UsageError(f"config key {key!r} must be {what}, "
+                             f"got {json.dumps(value)}")
+    return raw
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -13,12 +13,21 @@ over the integers; the final auxiliary matrix of that recursion is the
 adjugate up to sign, which hands us the exact integer inverse of a
 unimodular matrix for free.
 
+Validation happens at the API edge. The public constructors (the
+dataclasses themselves, `from_rows`, `from_fn`, `identity`, `zero`,
+`scalar`) and `mat_mod` check the shape, that entries are ints, and for
+`ModMatrix` that entries are residues and the modulus is prime, by
+Miller-Rabin. Products, sums, scalings and powers of matrices that were
+already validated are built through the trusted constructors `_exact`
+and `_mod`, which check nothing, so a product costs only its arithmetic.
+
 Everything in this module is a pure function on immutable values, so
 instances may be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -153,6 +162,23 @@ class ModMatrix:
         return [list(row) for row in self.rows]
 
 
+def _exact(n: int, rows: tuple[tuple[int, ...], ...]) -> ExactMatrix:
+    """ExactMatrix from rows already known to be an n x n grid of ints."""
+    m = object.__new__(ExactMatrix)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
+def _mod(n: int, p: int, rows: tuple[tuple[int, ...], ...]) -> ModMatrix:
+    """ModMatrix from rows already known to be n x n residues mod the prime p."""
+    m = object.__new__(ModMatrix)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "p", p)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial: coeffs[k] multiplies x**k.
@@ -210,40 +236,48 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    mul = operator.mul
     cols = tuple(zip(*b.rows))
-    rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                 for row in a.rows)
-    return ExactMatrix(a.n, rows)
+    return _exact(a.n, tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                             for row in a.rows))
 
 
 def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
     """a**e by binary exponentiation; a**0 = I.
 
+    The product starts at the lowest set bit of e, so a power takes
+    popcount(e) - 1 multiplies and bit_length(e) - 1 squarings.
     Negative exponents are defined only for unimodular matrices, whose
     inverse stays integral.
     """
     if e < 0:
         return mat_pow(unimodular_inverse(a), -e)
-    result = ExactMatrix.identity(a.n)
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
+    if e == 0:
+        return ExactMatrix.identity(a.n)
+    while not e & 1:
+        a = mat_mul(a, a)
         e >>= 1
-        if e:
-            base = mat_mul(base, base)
+    result = a
+    e >>= 1
+    while e:
+        a = mat_mul(a, a)
+        if e & 1:
+            result = mat_mul(result, a)
+        e >>= 1
     return result
 
 
 def mat_scale(a: ExactMatrix, s: int) -> ExactMatrix:
-    return ExactMatrix(a.n, tuple(tuple(s * x for x in row) for row in a.rows))
+    if not isinstance(s, int):
+        raise ValueError("scale factor must be an exact integer")
+    return _exact(a.n, tuple(tuple(s * x for x in row) for row in a.rows))
 
 
 def mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return ExactMatrix(a.n, tuple(tuple(x + y for x, y in zip(ra, rb))
-                                  for ra, rb in zip(a.rows, b.rows)))
+    return _exact(a.n, tuple(tuple(x + y for x, y in zip(ra, rb))
+                             for ra, rb in zip(a.rows, b.rows)))
 
 
 def mat_mod(a: ExactMatrix, p: int) -> ModMatrix:
@@ -255,24 +289,29 @@ def modmat_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
     if a.n != b.n or a.p != b.p:
         raise ValueError("dimension or modulus mismatch")
     p = a.p
+    mul = operator.mul
     cols = tuple(zip(*b.rows))
-    rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
-                 for row in a.rows)
-    return ModMatrix(a.n, p, rows)
+    return _mod(a.n, p, tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
+                              for row in a.rows))
 
 
 def modmat_pow(a: ModMatrix, e: int) -> ModMatrix:
-    """a**e mod p by binary exponentiation; e must be nonnegative."""
+    """a**e mod p by binary exponentiation from the lowest set bit of e;
+    e must be nonnegative."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    result = ModMatrix.identity(a.n, a.p)
-    base = a
-    while e:
-        if e & 1:
-            result = modmat_mul(result, base)
+    if e == 0:
+        return ModMatrix.identity(a.n, a.p)
+    while not e & 1:
+        a = modmat_mul(a, a)
         e >>= 1
-        if e:
-            base = modmat_mul(base, base)
+    result = a
+    e >>= 1
+    while e:
+        a = modmat_mul(a, a)
+        if e & 1:
+            result = modmat_mul(result, a)
+        e >>= 1
     return result
 
 

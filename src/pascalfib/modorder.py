@@ -8,8 +8,10 @@ the exact order is found by factor removal: starting from the
 annihilating exponent N = 4e, each prime q dividing N is stripped for
 as long as M**(N/q) = I, which takes O(omega(N) * log N) powers rather
 than one per divisor. The right-matrix order is computed once per
-(n, p) and shared by every theorem check that reports it. Fibonacci
-values enter only as residues, by fast doubling mod p.
+(n, p) and shared by every theorem check that reports it. Should
+R_n**(4e) = I itself fail, every right-matrix theorem reports that as
+a failed fourth-power-identity check, with no order. Fibonacci values
+enter only as residues, by fast doubling mod p.
 
 Two edge cases discovered by direct computation are handled explicitly
 and surface as hypothesis-not-met rather than failures:
@@ -45,16 +47,24 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class OrderReport:
+    """Theorem checks for one (kind, n, p). order is None when the
+    theorem's annihilating exponent turned out not to annihilate, so no
+    order was searched for."""
+
     matrix_kind: str
     n: int
     p: int
-    order: int
+    order: int | None
     witness_exponent_bound: int
     theorem_checks: dict[str, CheckResult]
 
     @property
     def passed(self) -> bool:
         return all(c.verdict != FAIL for c in self.theorem_checks.values())
+
+
+class BoundNotAnnihilating(ValueError):
+    """The exponent bound given to matrix_order_mod is not annihilating."""
 
 
 def _is_invertible(m: ModMatrix) -> bool:
@@ -88,7 +98,7 @@ def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
         raise ValueError(f"matrix is singular modulo {m.p}")
     ident = ModMatrix.identity(m.n, m.p)
     if modmat_pow(m, exponent_bound) != ident:
-        raise ValueError("bound is not annihilating")
+        raise BoundNotAnnihilating("bound is not annihilating")
     order = exponent_bound
     for q in prime_factors(exponent_bound):
         while order % q == 0 and modmat_pow(m, order // q) == ident:
@@ -123,14 +133,16 @@ def verify_left_order(n: int, p: int) -> OrderReport:
     return OrderReport("left", n, p, order, p, checks)
 
 
-# (n, p) -> (entry point, order of R_n mod p). Only integers are kept,
-# so the memo stays small however many (n, p) a campaign visits; the
-# lock makes each order search run once even under --threads.
-_right_orders: dict[tuple[int, int], tuple[int, int]] = {}
+# (n, p) -> (entry point, order of R_n mod p), with order None where
+# R_n**(4e) != I; each right-matrix law then reports that failure. Only
+# integers are kept, so the memo stays small however many (n, p) a
+# campaign visits; the lock makes each order search run once even under
+# --threads.
+_right_orders: dict[tuple[int, int], tuple[int, int | None]] = {}
 _right_orders_lock = threading.Lock()
 
 
-def _right_order_data(n: int, p: int) -> tuple[ModMatrix, int, int]:
+def _right_order_data(n: int, p: int) -> tuple[ModMatrix, int, int | None]:
     if n < 2:
         raise ValueError("right-matrix theorems require n >= 2")
     if not is_prime(p):
@@ -140,8 +152,18 @@ def _right_order_data(n: int, p: int) -> tuple[ModMatrix, int, int]:
         data = _right_orders.get((n, p))
         if data is None:
             e = entry_point(p)
-            data = _right_orders[(n, p)] = (e, matrix_order_mod(rm, 4 * e))
+            try:
+                order = matrix_order_mod(rm, 4 * e)
+            except BoundNotAnnihilating:
+                order = None
+            data = _right_orders[(n, p)] = (e, order)
     return (rm, *data)
+
+
+def _fourth_power_failure(n: int, p: int, e: int) -> OrderReport:
+    """The report of a right-matrix law whose premise R_n**(4e) = I is false."""
+    return OrderReport("right", n, p, None, 4 * e, {
+        "fourth-power-identity": CheckResult(FAIL, {"entry_point": e})})
 
 
 def verify_scalar_power(n: int, p: int) -> OrderReport:
@@ -179,6 +201,8 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
 def verify_pminus1(n: int, p: int) -> OrderReport:
     """If p | F_{p-1}, assert R_n**(p-1) = I mod p."""
     rm, e, order = _right_order_data(n, p)
+    if order is None:
+        return _fourth_power_failure(n, p, e)
     if fib_pair_mod(p - 1, p)[0] != 0:
         checks = {"p-minus-1-identity": CheckResult(HYPOTHESIS_NOT_MET)}
     else:
@@ -190,6 +214,8 @@ def verify_pminus1(n: int, p: int) -> OrderReport:
 def verify_pplus1(n: int, p: int) -> OrderReport:
     """If p | F_{p+1}, assert R_n**(p+1) = I (odd n) or -I (even n) mod p."""
     rm, e, order = _right_order_data(n, p)
+    if order is None:
+        return _fourth_power_failure(n, p, e)
     if fib_pair_mod(p + 1, p)[0] != 0:
         checks = {"p-plus-1-identity": CheckResult(HYPOTHESIS_NOT_MET)}
     else:
@@ -209,6 +235,8 @@ def verify_order_bound(n: int, p: int) -> OrderReport:
     the +-2 mod 5 class whose Pisano period is 2(p+1).
     """
     rm, e, order = _right_order_data(n, p)
+    if order is None:
+        return _fourth_power_failure(n, p, e)
     if p == 5:
         bound_check = CheckResult(HYPOTHESIS_NOT_MET, {"order": order})
     else:

@@ -56,20 +56,33 @@ def binomial(a: int, b: int) -> int:
     return _CACHE.get(a, b)
 
 
+# n -> L_n and n -> R_n, each built once. The values are immutable and
+# their entries are the binomial cache's own int objects, so the memos
+# hold only row tuples of references. setdefault hands every caller the
+# same object even when two threads build the same n at once.
+_lefts: dict[int, ExactMatrix] = {}
+_rights: dict[int, ExactMatrix] = {}
+
+
 def build_left(n: int) -> ExactMatrix:
     """The n x n left-justified Pascal matrix, entry (i, j) = C(i-1, j-1)."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    return ExactMatrix.from_fn(n, lambda i, j: binomial(i - 1, j - 1))
+    left = _lefts.get(n)
+    if left is None:
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
+        left = _lefts.setdefault(
+            n, ExactMatrix.from_fn(n, lambda i, j: binomial(i - 1, j - 1)))
+    return left
 
 
 def build_right(n: int) -> ExactMatrix:
     """The n x n column-justified Pascal matrix, entry (i, j) = C(i-1, n-j)."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    right = ExactMatrix.from_fn(n, lambda i, j: binomial(i - 1, n - j))
-    # Debug-mode identity: R_n is L_n with columns reversed.
-    assert right.rows == tuple(tuple(reversed(row)) for row in build_left(n).rows)
+    right = _rights.get(n)
+    if right is None:
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
+        right = _rights.setdefault(
+            n, ExactMatrix.from_fn(n, lambda i, j: binomial(i - 1, n - j)))
     return right
 
 

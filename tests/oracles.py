@@ -3,9 +3,12 @@
 Nothing here shares an algorithm with the library: determinants come
 from the permutation expansion, characteristic polynomials from
 cofactor expansion over polynomial entries, Fibonacci data from naive
-iteration, matrix orders from one power per divisor of the bound.
-The last two are the slow paths that the library's prime fast paths
-and factor-removal order search are tested against.
+iteration, matrix orders from one power per divisor of the bound,
+matrix products from a generator of x * y over zip whose results are
+re-validated by the public constructors, and powers by binary
+exponentiation that multiplies into the identity. These are the slow
+paths that the library's prime fast paths, factor-removal order
+search and trusted-constructor kernels are tested against.
 Slow on purpose; only run at small sizes.
 """
 
@@ -16,9 +19,7 @@ from pascalfib.core import (
     IntPolynomial,
     ModMatrix,
     mat_add,
-    mat_mul,
     mat_scale,
-    modmat_pow,
 )
 
 
@@ -67,7 +68,7 @@ def poly_at_matrix(poly: IntPolynomial, m: ExactMatrix) -> ExactMatrix:
     """Evaluate an integer polynomial at a matrix argument (Horner)."""
     acc = ExactMatrix.zero(m.n)
     for c in reversed(poly.coeffs):
-        acc = mat_add(mat_mul(acc, m), mat_scale(ExactMatrix.identity(m.n), c))
+        acc = mat_add(mat_mul_slow(acc, m), mat_scale(ExactMatrix.identity(m.n), c))
     return acc
 
 
@@ -117,4 +118,49 @@ def matrix_order_by_divisors(m: ModMatrix, exponent_bound: int) -> int:
     """Least divisor d of exponent_bound with m**d = I, tried in ascending order."""
     ident = ModMatrix.identity(m.n, m.p)
     return next(d for d in range(1, exponent_bound + 1)
-                if exponent_bound % d == 0 and modmat_pow(m, d) == ident)
+                if exponent_bound % d == 0 and modmat_pow_slow(m, d) == ident)
+
+
+def mat_mul_slow(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Exact product, every result checked by the ExactMatrix constructor."""
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    cols = tuple(zip(*b.rows))
+    rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a.rows)
+    return ExactMatrix(a.n, rows)
+
+
+def modmat_mul_slow(a: ModMatrix, b: ModMatrix) -> ModMatrix:
+    """Product mod p, every result checked (Miller-Rabin included) by ModMatrix."""
+    if a.n != b.n or a.p != b.p:
+        raise ValueError("dimension or modulus mismatch")
+    p = a.p
+    cols = tuple(zip(*b.rows))
+    rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+                 for row in a.rows)
+    return ModMatrix(a.n, p, rows)
+
+
+def mat_pow_slow(a: ExactMatrix, e: int) -> ExactMatrix:
+    """a**e for e >= 0, multiplying into the identity bit by bit."""
+    result, base = ExactMatrix.identity(a.n), a
+    while e:
+        if e & 1:
+            result = mat_mul_slow(result, base)
+        e >>= 1
+        if e:
+            base = mat_mul_slow(base, base)
+    return result
+
+
+def modmat_pow_slow(a: ModMatrix, e: int) -> ModMatrix:
+    """a**e mod p for e >= 0, multiplying into the identity bit by bit."""
+    result, base = ModMatrix.identity(a.n, a.p), a
+    while e:
+        if e & 1:
+            result = modmat_mul_slow(result, base)
+        e >>= 1
+        if e:
+            base = modmat_mul_slow(base, base)
+    return result

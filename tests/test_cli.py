@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pascalfib import cli
+from pascalfib import cli, modorder
 from pascalfib.core import ModMatrix
 from pascalfib.pascal import build_right
 from pascalfib.report import FAIL, PASS
@@ -231,6 +231,26 @@ class TestVerifyCommand:
         config.write_text(json.dumps({"laws": ["mod2"], "bogus": 1}))
         assert run(capsys, "verify", "--config", str(config))[0] == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"laws": ["mod2"], "threads": "2"}', "'threads' must be an integer"),
+        ('{"laws": ["mod2"], "n_range": [2, "4"]}', "'n_range' must be a pair"),
+        ('{"laws": ["mod2"], "e_range": [1]}', "'e_range' must be a pair"),
+        ('["mod2"]', "must be a JSON object"),
+        ('7', "must be a JSON object"),
+        ('{"laws": ["mod2"], "fail_fast": "no"}', "'fail_fast' must be true or false"),
+        ('{"laws": ["left-order"], "primes": [2.0]}', "'primes' must be a list of integers"),
+        ('{"laws": ["mod2"], "threads": true}', "'threads' must be an integer"),
+        ('{"laws": [2]}', "'laws' must be a list of law id strings"),
+    ])
+    def test_malformed_config_is_usage_error(self, capsys, tmp_path, text, message):
+        config = tmp_path / "campaign.json"
+        config.write_text(text)
+        code, out, err = run(capsys, "verify", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "campaign.json"
         config.write_text(json.dumps({
@@ -276,3 +296,43 @@ class TestExitCodeContract:
         # Stopped after the failure: the third check never ran.
         assert len(payload["checks"]) == 2
         assert payload["summary"]["fail"] == 1
+
+
+class TestFalseFourthPowerTheorem:
+    """A wrong entry point makes R_n**(4e) != I: a fail verdict, exit 1."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_entry_point_at_13(self, monkeypatch):
+        real = modorder.entry_point
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        monkeypatch.setattr(modorder, "entry_point",
+                            lambda p: 8 if p == 13 else real(p))
+
+    def test_verify_scalar_power_fails(self, capsys):
+        code, out, err = run(capsys, "verify", "--laws", "scalar-power", "--n", "4",
+                             "--primes", "13", "--format", "json")
+        assert code == 1
+        assert err == ""
+        (check,) = json.loads(out)["checks"]
+        assert check["verdict"] == FAIL
+        assert check["witness"]["order"] is None
+        assert check["witness"]["checks"]["fourth-power-identity"] == FAIL
+
+    @pytest.mark.parametrize("law", ["p-minus-1", "p-plus-1", "order-bound"])
+    def test_other_right_order_laws_fail(self, capsys, law):
+        code, out, _ = run(capsys, "verify", "--laws", law, "--n", "4",
+                           "--primes", "11,13", "--format", "json")
+        assert code == 1
+        verdicts = {c["params"]["p"]: c["verdict"] for c in json.loads(out)["checks"]}
+        assert verdicts[13] == FAIL
+        assert verdicts[11] != FAIL
+
+    def test_order_right_fails(self, capsys):
+        code, out, err = run(capsys, "order", "right", "4", "13", "--format", "json")
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["order"] is None
+        assert report["witness_exponent_bound"] == "32"
+        assert report["theorem_checks"]["fourth-power-identity"] == {
+            "verdict": FAIL, "values": {"entry_point": "8"}}

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pascalfib.core import (
@@ -9,9 +9,11 @@ from pascalfib.core import (
     charpoly,
     det,
     is_prime,
+    mat_add,
     mat_mod,
     mat_mul,
     mat_pow,
+    mat_scale,
     modmat_mul,
     modmat_pow,
     prime_factors,
@@ -22,6 +24,10 @@ from pascalfib.pascal import build_left, build_right
 from oracles import (
     charpoly_cofactor,
     det_permanent_expansion,
+    mat_mul_slow,
+    mat_pow_slow,
+    modmat_mul_slow,
+    modmat_pow_slow,
     poly_at_matrix,
     prime_factors_naive,
 )
@@ -83,6 +89,103 @@ class TestConstruction:
             ModMatrix(1, 5, ((5,),))
         with pytest.raises(ValueError):
             ModMatrix(1, 5, ((-1,),))
+
+
+class TestPublicConstructorsValidate:
+    """Products skip validation, so every way in from outside must keep it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ExactMatrix.from_rows([[1, 2], [3, 4.0]]),
+        lambda: ExactMatrix.from_fn(2, lambda i, j: i / j),
+        lambda: ExactMatrix(2, ((1, 2), (3, "4"))),
+        lambda: mat_scale(R2, 0.5),
+    ])
+    def test_non_int_entries(self, build):
+        with pytest.raises(ValueError, match="exact integer"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModMatrix(2, 7, ((0, 1), (7, 1))),
+        lambda: ModMatrix(2, 7, ((0, 1), (-1, 1))),
+        lambda: ModMatrix(1, 7, ((1.0,),)),
+    ])
+    def test_out_of_range_residues(self, build):
+        with pytest.raises(ValueError, match="residues"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModMatrix(1, 9, ((1,),)),
+        lambda: ModMatrix.identity(3, 4),
+        lambda: ModMatrix.scalar(3, 91, 2),
+        lambda: mat_mod(R2, 2**31 + 1),
+    ])
+    def test_composite_modulus(self, build):
+        with pytest.raises(ValueError, match="not prime"):
+            build()
+
+
+def mod_matrices(max_n=6):
+    def build(args):
+        n, p, seed = args
+        return ModMatrix(n, p, tuple(tuple((seed * (7 * i + j) ** 3 + i) % p
+                                           for j in range(n)) for i in range(n)))
+    return st.tuples(st.integers(1, max_n),
+                     st.sampled_from([2, 3, 13, 65537, 2**31 - 1]),
+                     st.integers(0, 2**31)).map(build)
+
+
+ONE_BY_ONE = ExactMatrix.from_rows([[-3]])
+
+
+class TestKernelsMatchSlowPaths:
+    """mat_mul/modmat_mul and the lowest-set-bit powers against the
+    generator products and identity-start powers in tests/oracles.py."""
+
+    @given(small_matrices(max_n=6, max_abs=9), st.integers(0, 2**20))
+    @example(ONE_BY_ONE, 5)
+    def test_mat_mul(self, a, shift):
+        b = ExactMatrix.from_rows([[x + shift for x in row] for row in reversed(a.rows)])
+        assert mat_mul(a, b) == mat_mul_slow(a, b)
+        assert mat_add(a, b) == ExactMatrix.from_rows(
+            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+    @given(mod_matrices())
+    @example(ModMatrix(1, 13, ((12,),)))
+    def test_modmat_mul(self, a):
+        b = ModMatrix(a.n, a.p, tuple(reversed(a.rows)))
+        assert modmat_mul(a, b) == modmat_mul_slow(a, b)
+
+    @given(small_matrices(max_n=6, max_abs=3), st.integers(0, 40))
+    @example(ONE_BY_ONE, 0)
+    @example(ONE_BY_ONE, 1)
+    @example(ONE_BY_ONE, 2)
+    @example(ONE_BY_ONE, 40)
+    @example(R2, 0)
+    @example(R2, 1)
+    @example(R2, 2)
+    def test_mat_pow(self, a, e):
+        power = mat_pow(a, e)
+        assert power == mat_pow_slow(a, e)
+        assert all(type(x) is int for row in power.rows for x in row)
+
+    @given(mod_matrices(), st.integers(0, 40))
+    @example(ModMatrix(1, 13, ((12,),)), 0)
+    @example(ModMatrix(1, 13, ((12,),)), 1)
+    @example(ModMatrix(1, 13, ((12,),)), 2)
+    @example(ModMatrix(2, 2, ((0, 1), (1, 1))), 2)
+    def test_modmat_pow(self, a, e):
+        assert modmat_pow(a, e) == modmat_pow_slow(a, e)
+
+    @given(unimodular_matrices(max_n=5), st.integers(1, 12))
+    def test_negative_powers(self, a, e):
+        assert mat_pow(a, -e) == mat_pow_slow(unimodular_inverse(a), e)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_pascal_powers(self, n):
+        for e in range(0, 41):
+            assert mat_pow(build_right(n), e) == mat_pow_slow(build_right(n), e)
+            m = mat_mod(build_right(n), 13)
+            assert modmat_pow(m, e) == modmat_pow_slow(m, e)
 
 
 class TestMatMul:

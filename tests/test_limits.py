@@ -1,4 +1,5 @@
-"""The documented prime limit, run at its edge under time and memory budgets.
+"""The documented limits (n <= 64, |e| <= 64, primes below 2^31), run at
+their edges under time and memory budgets.
 
 Each campaign runs in a fresh interpreter, and its peak RSS is that
 child's own ru_maxrss from os.wait4. On Linux a child's ru_maxrss also
@@ -67,4 +68,33 @@ def test_scalar_power_near_1e5_stays_small(tmp_path):
         "verify", "--laws", "scalar-power", "--n", "4", "--primes", "99707")
     assert code == 0
     assert json.loads(stdout)["summary"] == {"pass": 1, "fail": 0}
+    assert peak_mb < 100, peak_mb
+
+
+def test_right_matrix_power_minus_64_at_n_64(tmp_path):
+    # The negative power goes through the O(n^4) Faddeev-LeVerrier inverse.
+    code, stdout, seconds, peak_mb = run_cli(tmp_path, "matrix", "right", "64", "pow", "-64")
+    rows = stdout.decode().splitlines()
+    assert code == 0
+    assert len(rows) == 64 and all(len(row.split()) == 64 for row in rows)
+    assert seconds < 60, seconds
+    assert peak_mb < 100, peak_mb
+
+
+def test_left_closed_form_at_e_minus_64_and_n_64(tmp_path):
+    code, stdout, seconds, peak_mb = run_cli(
+        tmp_path, "verify", "--laws", "left-closed-form", "--n", "64", "--e=-64..-64")
+    assert code == 0
+    assert json.loads(stdout)["summary"] == {"pass": 1, "fail": 0}
+    assert seconds < 60, seconds
+    assert peak_mb < 100, peak_mb
+
+
+def test_cell_laws_at_e_64_and_n_64(tmp_path):
+    code, stdout, seconds, peak_mb = run_cli(
+        tmp_path, "verify", "--laws", "fib-recurrence,border-formulas,row-propagation",
+        "--n", "64", "--e=64..64")
+    assert code == 0
+    assert json.loads(stdout)["summary"] == {"pass": 3, "fail": 0}
+    assert seconds < 60, seconds
     assert peak_mb < 100, peak_mb

@@ -10,6 +10,7 @@ from pascalfib import modorder
 from pascalfib.core import ModMatrix, mat_mod
 from pascalfib.fib import entry_point
 from pascalfib.modorder import (
+    BoundNotAnnihilating,
     matrix_order_mod,
     verify_left_order,
     verify_order_bound,
@@ -18,7 +19,7 @@ from pascalfib.modorder import (
     verify_scalar_power,
 )
 from pascalfib.pascal import build_left, build_right
-from pascalfib.report import HYPOTHESIS_NOT_MET, PASS
+from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
 from oracles import matrix_order_by_divisors, primes_below
 
@@ -239,3 +240,33 @@ class TestRightOrderMemo:
         assert not any(t.is_alive() for t in threads)
         assert searches == Counter(dict.fromkeys(grid, 1))
         assert all(len(found) == 1 for found in orders.values())
+
+
+def wrong_entry_point_at_13(monkeypatch):
+    """Make the fourth-power premise false at p = 13: R_4**32 != I there."""
+    monkeypatch.setattr(modorder, "_right_orders", {})
+    monkeypatch.setattr(modorder, "entry_point",
+                        lambda p: 8 if p == 13 else entry_point(p))
+
+
+class TestFalseFourthPowerTheorem:
+    """R_n**(4e) != I is a failed theorem, reported, not a usage error."""
+
+    def test_direct_misuse_still_raises(self):
+        with pytest.raises(BoundNotAnnihilating):
+            matrix_order_mod(mat_mod(build_right(4), 13), 32)
+
+    @pytest.mark.parametrize("law", [verify_scalar_power, verify_pminus1,
+                                     verify_pplus1, verify_order_bound])
+    def test_every_right_order_law_fails(self, law, monkeypatch):
+        wrong_entry_point_at_13(monkeypatch)
+        report = law(4, 13)
+        assert not report.passed
+        assert report.order is None
+        assert report.witness_exponent_bound == 32
+        assert report.theorem_checks["fourth-power-identity"].verdict == FAIL
+
+    def test_other_primes_are_unaffected(self, monkeypatch):
+        wrong_entry_point_at_13(monkeypatch)
+        assert verify_order_bound(4, 11).passed
+        assert verify_order_bound(4, 11).order == 10

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pascalfib.core import ExactMatrix, mat_mod, mat_mul, mat_pow, modmat_pow
+from pascalfib import pascal
 from pascalfib.core import ModMatrix
 from pascalfib.pascal import (
     BinomialCache,
@@ -87,6 +88,32 @@ class TestBuilders:
             build_left(0)
         with pytest.raises(ValueError):
             build_right(0)
+
+    @pytest.mark.parametrize("build", [build_left, build_right])
+    def test_built_once_per_n(self, build):
+        assert build(7) is build(7)
+
+    @pytest.mark.parametrize("build, memo", [(build_left, "_lefts"),
+                                             (build_right, "_rights")])
+    def test_two_threads_get_one_value(self, build, memo, monkeypatch):
+        monkeypatch.setattr(pascal, memo, {})
+        start = threading.Barrier(2)
+        results = []
+
+        def worker():
+            start.wait()
+            results.append([build(n) for n in range(1, 40)])
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        first, second = results
+        assert first == second
+        assert all(x is y for x, y in zip(first, second))
+        assert first[-1] == ExactMatrix.from_fn(
+            39, lambda i, j: binomial(i - 1, j - 1 if build is build_left else 39 - j))
 
 
 class TestLeftPowerEntry:
