@@ -1,11 +1,22 @@
+import argparse
+import hashlib
+import importlib
 import json
+import os
+import re
 
 import pytest
 
-from pascalfib import cli, modorder
+from pascalfib import cli, laws, modorder, spectra
 from pascalfib.core import ModMatrix
-from pascalfib.pascal import build_right
+from pascalfib.fib import lucas
+from pascalfib.pascal import build_left, build_right, left_power_entry
 from pascalfib.report import FAIL, PASS
+
+fib_module = importlib.import_module("pascalfib.fib")
+
+ALL_LAWS = ",".join(cli.LAW_REGISTRY)
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv):
@@ -268,19 +279,14 @@ class TestVerifyCommand:
 
 class TestExitCodeContract:
     def _inject_failing_law(self, monkeypatch):
-        def jobs(cfg):
-            def ok():
-                return {"law": "stub", "params": {"n": 1}, "verdict": PASS}
-            def bad():
-                return {"law": "stub", "params": {"n": 2}, "verdict": FAIL,
-                        "witness": {"reason": "injected"}}
-            return [("stub", {"n": 1}, ok), ("stub", {"n": 2}, bad),
-                    ("stub", {"n": 3}, ok)]
-        monkeypatch.setitem(cli.LAW_REGISTRY, "stub", jobs)
+        def check(n):
+            return (FAIL, {"reason": "injected"}) if n == 2 else (PASS, None)
+        monkeypatch.setitem(cli.LAW_REGISTRY, "stub", cli.Law("n", check))
 
     def test_failure_exits_one_with_full_report(self, capsys, monkeypatch):
         self._inject_failing_law(monkeypatch)
-        code, out, _ = run(capsys, "verify", "--laws", "stub", "--format", "json")
+        code, out, _ = run(capsys, "verify", "--laws", "stub", "--n", "1..3",
+                           "--format", "json")
         assert code == 1
         payload = json.loads(out)
         assert payload["summary"] == {"pass": 2, "fail": 1}
@@ -289,8 +295,8 @@ class TestExitCodeContract:
 
     def test_fail_fast_flushes_partial_report(self, capsys, monkeypatch):
         self._inject_failing_law(monkeypatch)
-        code, out, _ = run(capsys, "verify", "--laws", "stub", "--fail-fast",
-                           "--format", "json")
+        code, out, _ = run(capsys, "verify", "--laws", "stub", "--n", "1..3",
+                           "--fail-fast", "--format", "json")
         assert code == 1
         payload = json.loads(out)
         # Stopped after the failure: the third check never ran.
@@ -303,10 +309,7 @@ class TestFalseFourthPowerTheorem:
 
     @pytest.fixture(autouse=True)
     def wrong_entry_point_at_13(self, monkeypatch):
-        real = modorder.entry_point
-        monkeypatch.setattr(modorder, "_right_orders", {})
-        monkeypatch.setattr(modorder, "entry_point",
-                            lambda p: 8 if p == 13 else real(p))
+        _wrong_entry_point_at_13(monkeypatch)
 
     def test_verify_scalar_power_fails(self, capsys):
         code, out, err = run(capsys, "verify", "--laws", "scalar-power", "--n", "4",
@@ -336,3 +339,123 @@ class TestFalseFourthPowerTheorem:
         assert report["witness_exponent_bound"] == "32"
         assert report["theorem_checks"]["fourth-power-identity"] == {
             "verdict": FAIL, "values": {"entry_point": "8"}}
+
+
+class TestGoldenCampaign:
+    """All 19 laws over a small grid, byte for byte as recorded."""
+
+    ARGS = ("verify", "--laws", ALL_LAWS, "--n", "1..12", "--e=-4..12",
+            "--primes", "2,3,5,7,11,13")
+    DIGESTS = {
+        "json": "c3562add3881a8b831042979facf94449db78884ea0def3d17244312f6629a38",
+        "csv": "006c6660641a0448d660006c67c543e0563e4663fd168f65188977e93743f4c8",
+        "plain": "fd180b47710f2bb6d006366bf0cd80271229c3c4798d9a64c1fb3de4e6c337d3",
+    }
+
+    @pytest.mark.parametrize("fmt, threads", [
+        ("json", "1"), ("csv", "1"), ("plain", "1"), ("json", "2")])
+    def test_stdout_digest(self, capsys, fmt, threads):
+        code, out, err = run(capsys, *self.ARGS, "--format", fmt, "--threads", threads)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
+
+
+def _cell_failure(monkeypatch, verifier):
+    monkeypatch.setattr(laws, verifier, lambda *args: laws.CellLawReport(
+        "stub", 3, None, 9, ((2, 1, 5, 6), (3, 2, 7, 8))))
+
+
+def _corrupt_pisano(monkeypatch):
+    real = fib_module.pisano_period
+    monkeypatch.setattr(fib_module, "pisano_period", lambda p: 3 * real(p))
+
+
+def _wrong_entry_point_at_13(monkeypatch):
+    real = modorder.entry_point
+    monkeypatch.setattr(modorder, "_right_orders", {})
+    monkeypatch.setattr(modorder, "entry_point", lambda p: 8 if p == 13 else real(p))
+
+
+CELL_WITNESS = {"i": 2, "j": 1, "lhs": "5", "rhs": "6", "failing_cells": 2}
+
+
+class TestFailingWitnesses:
+    """The exact witness each law attaches to a failing check."""
+
+    @pytest.mark.parametrize("law, argv, patch, params, witness", [
+        ("mod2", ("--n", "3"),
+         lambda mp: mp.setattr(cli, "build_right", build_left),
+         {"n": 3}, {"left_square": True, "right_cube": False}),
+        ("left-closed-form", ("--n", "3", "--e=-2"),
+         lambda mp: mp.setattr(cli, "left_power_entry", lambda e, i, j:
+                               left_power_entry(e, i, j) + (i == 3 and j == 1)),
+         {"n": 3, "e": -2}, {"i": 3, "j": 1, "lhs": "4", "rhs": "5"}),
+        ("square-recurrence", ("--n", "3"),
+         lambda mp: _cell_failure(mp, "verify_square_recurrence"),
+         {"n": 3}, CELL_WITNESS),
+        ("cube-recurrence", ("--n", "3"),
+         lambda mp: _cell_failure(mp, "verify_cube_recurrence"),
+         {"n": 3}, CELL_WITNESS),
+        ("fib-recurrence", ("--n", "3", "--e", "2"),
+         lambda mp: _cell_failure(mp, "verify_fib_recurrence"),
+         {"n": 3, "e": 2}, CELL_WITNESS),
+        ("border-formulas", ("--n", "3", "--e", "2"),
+         lambda mp: _cell_failure(mp, "verify_border_formulas"),
+         {"n": 3, "e": 2}, CELL_WITNESS),
+        ("row-expansion", ("--n", "3"),
+         lambda mp: _cell_failure(mp, "verify_row_expansion_23"),
+         {"n": 3}, CELL_WITNESS),
+        ("row-propagation", ("--n", "3", "--e", "2"),
+         lambda mp: _cell_failure(mp, "verify_row_propagation"),
+         {"n": 3, "e": 2}, CELL_WITNESS),
+        ("scalar-power", ("--n", "4", "--primes", "13"), _wrong_entry_point_at_13,
+         {"n": 4, "p": 13},
+         {"order": None, "checks": {"scalar-form": FAIL, "signed-scalar-even": FAIL,
+                                    "fourth-power-identity": FAIL}}),
+        ("bloom-wall", ("--primes", "7"), _corrupt_pisano,
+         {"p": 7}, {"entry_point": "8", "period": "48"}),
+        ("period-exactness", ("--primes", "7"), _corrupt_pisano,
+         {"p": 7}, {"entry_point": "8", "period": "48",
+                    "branch": "entry-point-is-p-plus-1"}),
+        ("eigen-conjecture", ("--n", "2"),
+         lambda mp: mp.setattr(spectra, "lucas", lambda k: lucas(k) + 1),
+         {"n": 2}, {"first_mismatch_degree": 1, "computed": ["-1", "-1", "1"],
+                    "conjectured": ["-1", "-2", "1"]}),
+    ])
+    def test_witness(self, capsys, monkeypatch, law, argv, patch, params, witness):
+        patch(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--laws", law, *argv, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"law": law, "params": params, "verdict": FAIL, "witness": witness}]
+
+
+class TestNegativeRanges:
+    def test_spaced_negative_range_matches_glued_form(self, capsys):
+        glued = run(capsys, "verify", "--laws", "left-closed-form", "--n", "2..3",
+                    "--e=-3..-1")
+        spaced = run(capsys, "verify", "--laws", "left-closed-form", "--n", "2..3",
+                     "--e", "-3..-1")
+        assert spaced[0] == 0
+        assert spaced == glued
+
+    def test_spaced_negative_n_is_a_range_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--laws", "mod2", "--n", "-3..2")
+        assert (code, out) == (2, "")
+        assert err == f"error: n range must be nonempty within 1..{cli.MAX_N}\n"
+
+
+class TestLawIdsDocumented:
+    """README and the --laws help list the registry's ids, in order."""
+
+    def test_readme_law_block(self):
+        text = open(README, encoding="utf-8").read()
+        block = re.search(r"Law ids:\n\n```\n(.*?)```", text, re.S).group(1)
+        assert block.split() == list(cli.LAW_REGISTRY)
+
+    def test_laws_help(self):
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        (laws_option,) = [a for a in sub.choices["verify"]._actions
+                          if "--laws" in a.option_strings]
+        assert laws_option.help.split(": ")[1].split(",") == list(cli.LAW_REGISTRY)
