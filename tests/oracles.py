@@ -9,11 +9,17 @@ re-validated by the public constructors, and powers by binary
 exponentiation that multiplies into the identity. These are the slow
 paths that the library's prime fast paths, factor-removal order
 search and trusted-constructor kernels are tested against.
-Slow on purpose; only run at small sizes.
+
+The cell-law verifiers at the end are the laws' loops written cell by
+cell: every cell read through the bounds-checked entry(), every sum
+summed afresh. They take their power matrix from laws.power at call
+time, like the fast loops, so a test that swaps that helper feeds the
+same matrix to both. Slow on purpose; only run at small sizes.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
+from pascalfib import laws
 from pascalfib.core import (
     ExactMatrix,
     IntPolynomial,
@@ -21,6 +27,8 @@ from pascalfib.core import (
     mat_add,
     mat_scale,
 )
+from pascalfib.fib import fib
+from pascalfib.pascal import binomial, build_left, build_right, left_power_entry
 
 
 def det_permanent_expansion(m: ExactMatrix) -> int:
@@ -164,3 +172,127 @@ def modmat_pow_slow(a: ModMatrix, e: int) -> ModMatrix:
         if e:
             base = modmat_mul_slow(base, base)
     return result
+
+
+# ---------------------------------------------------------------------------
+# cell-law verifiers, one entry() per cell
+
+
+def _right_power(n: int, e: int) -> ExactMatrix:
+    return laws.power(build_right(n), e)
+
+
+def verify_square_recurrence_slow(n: int) -> laws.CellLawReport:
+    b = _right_power(n, 2)
+    checked = 0
+    failures = []
+    for i in range(2, n + 1):
+        for j in range(1, n):
+            lhs = b.entry(i, j + 1)
+            rhs = b.entry(i - 1, j + 1) + 2 * b.entry(i - 1, j) - b.entry(i, j)
+            checked += 1
+            if lhs != rhs:
+                failures.append((i, j + 1, lhs, rhs))
+    return laws.CellLawReport("square-recurrence", n, 2, checked, tuple(failures))
+
+
+def verify_cube_recurrence_slow(n: int) -> laws.CellLawReport:
+    c = _right_power(n, 3)
+    checked = 0
+    failures = []
+    for i in range(1, n):
+        for j in range(2, n + 1):
+            lhs = c.entry(i + 1, j)
+            rhs = 2 * c.entry(i, j) + 3 * c.entry(i, j - 1) - 2 * c.entry(i + 1, j - 1)
+            checked += 1
+            if lhs != rhs:
+                failures.append((i + 1, j, lhs, rhs))
+    return laws.CellLawReport("cube-recurrence", n, 3, checked, tuple(failures))
+
+
+def verify_fib_recurrence_slow(n: int, e: int) -> laws.CellLawReport:
+    a = _right_power(n, e)
+    f_prev, f_cur, f_next = fib(e - 1), fib(e), fib(e + 1)
+    checked = 0
+    failures = []
+    for i in range(2, n + 1):
+        for j in range(2, n + 1):
+            lhs = f_prev * a.entry(i, j)
+            rhs = (f_cur * a.entry(i - 1, j)
+                   + f_next * a.entry(i - 1, j - 1)
+                   - f_cur * a.entry(i, j - 1))
+            checked += 1
+            if lhs != rhs:
+                failures.append((i, j, lhs, rhs))
+    return laws.CellLawReport("fib-recurrence", n, e, checked, tuple(failures))
+
+
+def verify_border_formulas_slow(n: int, e: int) -> laws.CellLawReport:
+    a = _right_power(n, e)
+    f_prev, f_cur = fib(e - 1), fib(e)
+    checked = 0
+    failures = []
+    for j in range(1, n + 1):
+        lhs = a.entry(1, j)
+        rhs = binomial(n - 1, j - 1) * f_prev ** (n - j) * f_cur ** (j - 1)
+        checked += 1
+        if lhs != rhs:
+            failures.append((1, j, lhs, rhs))
+    for i in range(1, n + 1):
+        lhs = a.entry(i, 1)
+        rhs = f_prev ** (n - i) * f_cur ** (i - 1)
+        checked += 1
+        if lhs != rhs:
+            failures.append((i, 1, lhs, rhs))
+    return laws.CellLawReport("border-formulas", n, e, checked, tuple(failures))
+
+
+def verify_row_expansion_23_slow(n: int) -> laws.CellLawReport:
+    b = _right_power(n, 2)
+    c = _right_power(n, 3)
+    checked = 0
+    failures = []
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            lhs = b.entry(i + 1, j)
+            rhs = b.entry(i, j) - sum((-1) ** k * b.entry(i, j - k)
+                                      for k in range(1, j))
+            checked += 1
+            if lhs != rhs:
+                failures.append((i + 1, j, lhs, rhs))
+            lhs = c.entry(i + 1, j)
+            rhs = 2 * c.entry(i, j) + sum((-1) ** k * 2 ** (k - 1) * c.entry(i, j - k)
+                                          for k in range(1, j))
+            checked += 1
+            if lhs != rhs:
+                failures.append((i + 1, j, lhs, rhs))
+    return laws.CellLawReport("row-expansion-23", n, None, checked, tuple(failures))
+
+
+def verify_row_propagation_slow(n: int, e: int) -> laws.CellLawReport:
+    a = _right_power(n, e)
+    f_prev, f_cur = fib(e - 1), fib(e)
+    checked = 0
+    failures = []
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            lhs = f_prev ** j * a.entry(i + 1, j)
+            rhs = f_cur * f_prev ** (j - 1) * a.entry(i, j) - sum(
+                (-1) ** (k + e) * f_cur ** (k - 1) * f_prev ** (j - 1 - k)
+                * a.entry(i, j - k)
+                for k in range(1, j))
+            checked += 1
+            if lhs != rhs:
+                failures.append((i + 1, j, lhs, rhs))
+    return laws.CellLawReport("row-propagation", n, e, checked, tuple(failures))
+
+
+def left_closed_form_slow(n: int, e: int) -> tuple[int, int, int, int] | None:
+    """The first cell (i, j, lhs, rhs) where L_n**e differs from
+    e**(i-j) C(i-1, j-1), or None."""
+    power = laws.power(build_left(n), e)
+    for i, j in product(range(1, n + 1), repeat=2):
+        lhs, rhs = power.entry(i, j), left_power_entry(e, i, j)
+        if lhs != rhs:
+            return i, j, lhs, rhs
+    return None

@@ -221,6 +221,41 @@ class TestVerifyCommand:
         _, threaded, _ = run(capsys, *args, "--threads", "4")
         assert sequential == threaded
 
+    def test_walked_powers_threads_match_sequential(self, capsys):
+        # Two threads split each e range between them, so each walks only
+        # part of it; the report must not change.
+        args = ("verify", "--laws", "left-closed-form,fib-recurrence,row-propagation",
+                "--n", "2..6", "--e=-3..9", "--format", "json")
+        _, sequential, _ = run(capsys, *args)
+        _, threaded, _ = run(capsys, *args, "--threads", "2")
+        assert sequential == threaded
+
+    def test_repeated_law_ids_run_once(self, capsys):
+        for fmt in ("json", "plain"):
+            once = run(capsys, "verify", "--laws", "mod2", "--n", "2..3", "--format", fmt)
+            twice = run(capsys, "verify", "--laws", "mod2,mod2", "--n", "2..3",
+                        "--format", fmt)
+            assert twice == once
+
+    def test_repeated_primes_run_once(self, capsys):
+        for fmt in ("json", "plain"):
+            once = run(capsys, "verify", "--laws", "bloom-wall", "--primes", "7",
+                       "--format", fmt)
+            twice = run(capsys, "verify", "--laws", "bloom-wall", "--primes", "7,7",
+                        "--format", fmt)
+            assert twice == once
+            assert once[0] == 0
+
+    def test_repeats_keep_first_occurrence_order(self, capsys):
+        cfg = cli.CampaignConfig(("bloom-wall", "mod2", "bloom-wall"),
+                                 primes=(11, 7, 11, 3, 7))
+        assert (cfg.laws, cfg.primes) == (("bloom-wall", "mod2"), (11, 7, 3))
+        _, out, _ = run(capsys, "verify", "--laws", "bloom-wall,mod2,bloom-wall",
+                        "--n", "2", "--primes", "11,7,11,3,7", "--format", "json")
+        report = json.loads(out)
+        assert report["campaign"] == "bloom-wall+mod2"
+        assert report["summary"] == {"pass": 4, "fail": 0}
+
     def test_hypothesis_not_met_keeps_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--laws", "p-minus-1",
                            "--n", "2..4", "--primes", "13", "--format", "json")

@@ -1,6 +1,14 @@
-import pytest
+import sys
+import threading
 
-from pascalfib.core import mat_pow
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from oracles import mat_pow_slow
+from pascalfib import cli, core, laws
+from pascalfib.core import ExactMatrix, mat_pow
 from pascalfib.fib import fib
 from pascalfib.laws import (
     recurrence_coefficients,
@@ -11,7 +19,8 @@ from pascalfib.laws import (
     verify_row_propagation,
     verify_square_recurrence,
 )
-from pascalfib.pascal import build_right
+from pascalfib.pascal import build_left, build_right, left_inverse, right_inverse
+from pascalfib.report import FAIL, PASS
 
 
 class TestSquareRecurrence:
@@ -147,3 +156,211 @@ class TestReportShape:
     def test_checked_cells_matches_declared_range(self):
         report = verify_fib_recurrence(7, 4)
         assert report.checked_cells == 36
+
+
+# ---------------------------------------------------------------------------
+# the power walk and the row-indexed loops against their slow paths
+
+
+def _base(kind: str, n: int):
+    return build_left(n) if kind == "left" else build_right(n)
+
+
+def _slow_power(kind: str, n: int, e: int):
+    """L_n**e or R_n**e from the slow kernels; negative e through the
+    closed-form inverse, so no Faddeev-LeVerrier enters."""
+    if e >= 0:
+        return mat_pow_slow(_base(kind, n), e)
+    inverse = left_inverse(n) if kind == "left" else right_inverse(n)
+    return mat_pow_slow(inverse, -e)
+
+
+def _in_threads(count: int, target) -> list:
+    """target() run in `count` fresh threads at once; their results in order."""
+    results: list = [None] * count
+    errors: list = []
+
+    def body(k: int) -> None:
+        try:
+            results[k] = target()
+        except Exception as exc:  # raised again in the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=body, args=(k,)) for k in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _count_calls(monkeypatch, module, name) -> list[int]:
+    """Replace module.name by a wrapper that counts its calls in counter[0]."""
+    counter = [0]
+    real = getattr(module, name)
+
+    def counted(*args):
+        counter[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return counter
+
+
+@st.composite
+def power_requests(draw):
+    """A run of (kind, n, e) requests, n <= 6 and e in -6..12: steps up
+    (the walk), repeats, steps down, jumps in e, and base switches."""
+    kinds = st.sampled_from(("left", "right"))
+    dims = st.integers(1, 6)
+    exps = st.integers(-6, 12)
+    kind, n, e = draw(kinds), draw(dims), draw(exps)
+    requests = [(kind, n, e)]
+    moves = ("up", "up", "up", "repeat", "down", "jump", "switch")
+    for move in draw(st.lists(st.sampled_from(moves), max_size=16)):
+        if move == "up":
+            e = min(e + 1, 12)
+        elif move == "down":
+            e = max(e - 1, -6)
+        elif move == "jump":
+            e = draw(exps)
+        elif move == "switch":
+            kind, n = draw(kinds), draw(dims)
+        requests.append((kind, n, e))
+    return requests
+
+
+class TestPowerWalk:
+    @given(power_requests())
+    def test_matches_slow_powers_in_two_threads(self, requests):
+        expected = [_slow_power(*request) for request in requests]
+
+        def walk():
+            return [laws.power(_base(kind, n), e) for kind, n, e in requests]
+
+        # Fresh threads start with nothing held; both run at once.
+        assert _in_threads(2, walk) == [expected, expected]
+
+    def test_stress_many_threads_walk_shared_bases(self):
+        # More threads than cores, switching often, all walking the same
+        # two base objects; every result must still be the true power.
+        bases = [("left", 5), ("right", 5)]
+        expected = [_slow_power(kind, n, e) for kind, n in bases for e in range(-3, 9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _in_threads(6, lambda: [
+                laws.power(_base(kind, n), e) for kind, n in bases for e in range(-3, 9)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 6
+
+    def test_walk_costs_one_multiply_per_step(self, monkeypatch):
+        pows = _count_calls(monkeypatch, laws, "mat_pow")
+        muls = _count_calls(monkeypatch, laws, "mat_mul")
+        inverses = _count_calls(monkeypatch, core, "unimodular_inverse")
+        left = build_left(5)
+        _in_threads(1, lambda: [laws.power(left, e) for e in range(-4, 5)])
+        assert (pows[0], muls[0], inverses[0]) == (1, 8, 1)
+
+    def test_other_threads_do_not_step_from_this_threads_power(self):
+        right = build_right(4)
+        laws.power(right, 5)
+        # A fresh thread has no R_4**5 to step from, so R_4**6 comes from
+        # mat_pow there; the result is the same either way.
+        assert _in_threads(1, lambda: laws.power(right, 6)) == [
+            mat_pow_slow(right, 6)]
+
+    def test_an_equal_but_distinct_base_is_not_stepped_from(self):
+        right = build_right(3)
+        copy = ExactMatrix.from_rows(right.rows)
+        skewed = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+
+        def walk():
+            laws.power(right, 2)
+            return laws.power(copy, 3), laws.power(skewed, 4)
+
+        assert _in_threads(1, walk) == [
+            (mat_pow_slow(right, 3), mat_pow_slow(skewed, 4))]
+
+
+def _corrupt_power(cells):
+    """A stand-in for laws.power whose result has `delta` added at the
+    0-based cells (i mod n, j mod n), in order."""
+    def power(base, e):
+        rows = [list(row) for row in mat_pow(base, e).rows]
+        for i, j, delta in cells:
+            rows[i % base.n][j % base.n] += delta
+        return ExactMatrix.from_rows(rows)
+    return power
+
+
+CELL_LAWS = [
+    (verify_square_recurrence, oracles.verify_square_recurrence_slow, False),
+    (verify_cube_recurrence, oracles.verify_cube_recurrence_slow, False),
+    (verify_row_expansion_23, oracles.verify_row_expansion_23_slow, False),
+    (verify_fib_recurrence, oracles.verify_fib_recurrence_slow, True),
+    (verify_border_formulas, oracles.verify_border_formulas_slow, True),
+    (verify_row_propagation, oracles.verify_row_propagation_slow, True),
+]
+
+corruptions = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5),
+              st.integers(-3, 3).filter(bool)), max_size=4)
+
+
+class TestRowIndexedLoops:
+    """The row-indexed loops report exactly what the entry() loops report,
+    on true powers and on powers with corrupted cells."""
+
+    @given(n=st.integers(2, 6), e=st.integers(2, 10), cells=corruptions)
+    def test_cell_laws_match_entry_loops(self, n, e, cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laws, "power", _corrupt_power(cells))
+            for fast, slow, takes_e in CELL_LAWS:
+                args = (n, e) if takes_e else (n,)
+                assert fast(*args) == slow(*args), fast.__name__
+
+    @given(n=st.integers(1, 6), e=st.integers(-6, 10), cells=corruptions)
+    def test_left_closed_form_matches_entry_loop(self, n, e, cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laws, "power", _corrupt_power(cells))
+            verdict, witness = cli._check_left_closed_form(n, e)
+            first = oracles.left_closed_form_slow(n, e)
+        if first is None:
+            assert (verdict, witness) == (PASS, None)
+        else:
+            i, j, lhs, rhs = first
+            assert (verdict, witness) == (
+                FAIL, {"i": i, "j": j, "lhs": str(lhs), "rhs": str(rhs)})
+
+    def test_corruption_is_seen(self):
+        # Cell (3, 2) of R_4**3 bumped: both loops flag the same cells.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laws, "power", _corrupt_power([(2, 1, 1)]))
+            fast = verify_row_propagation(4, 3)
+            assert not fast.passed
+            assert fast == oracles.verify_row_propagation_slow(4, 3)
+
+
+class TestCampaignPowerCounts:
+    """Known kernel counts of a walked campaign, each run in a fresh thread."""
+
+    def test_fib_recurrence_walk(self, monkeypatch):
+        pows = _count_calls(monkeypatch, laws, "mat_pow")
+        muls = _count_calls(monkeypatch, laws, "mat_mul")
+        cfg = cli.CampaignConfig(("fib-recurrence",), n_range=(4, 4), e_range=(1, 10))
+        [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+        assert report["summary"] == {"pass": 10, "fail": 0}
+        assert (pows[0], muls[0]) == (1, 9)
+
+    def test_left_closed_form_inverts_once(self, monkeypatch):
+        inverses = _count_calls(monkeypatch, core, "unimodular_inverse")
+        cfg = cli.CampaignConfig(("left-closed-form",), n_range=(5, 5),
+                                 e_range=(-4, 4))
+        [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+        assert report["summary"] == {"pass": 9, "fail": 0}
+        assert inverses[0] == 1

@@ -98,3 +98,23 @@ def test_cell_laws_at_e_64_and_n_64(tmp_path):
     assert json.loads(stdout)["summary"] == {"pass": 3, "fail": 0}
     assert seconds < 60, seconds
     assert peak_mb < 100, peak_mb
+
+
+def test_left_closed_form_over_the_whole_e_range_at_n_64(tmp_path):
+    # The walk inverts L_64 once, at e = -64, and steps up from there.
+    code, stdout, seconds, peak_mb = run_cli(
+        tmp_path, "verify", "--laws", "left-closed-form", "--n", "64", "--e=-64..64")
+    assert code == 0
+    assert json.loads(stdout)["summary"] == {"pass": 129, "fail": 0}
+    assert seconds < 60, seconds
+    assert peak_mb < 100, peak_mb
+
+
+def test_cell_laws_over_e_1_to_64_at_n_64(tmp_path):
+    code, stdout, seconds, peak_mb = run_cli(
+        tmp_path, "verify", "--laws", "fib-recurrence,border-formulas,row-propagation",
+        "--n", "64", "--e", "1..64")
+    assert code == 0
+    assert json.loads(stdout)["summary"] == {"pass": 64 + 64 + 63, "fail": 0}
+    assert seconds < 60, seconds
+    assert peak_mb < 100, peak_mb
