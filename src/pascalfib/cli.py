@@ -20,7 +20,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -511,6 +510,10 @@ def _run(job: Job) -> Check:
     return check
 
 
+def _run_all(jobs: list[Job]) -> list[Check]:
+    return [_run(job) for job in jobs]
+
+
 def _sort_key(check: Check) -> tuple:
     params = check["params"]
     return (check["law"], params.get("n", 0), params.get("e", 0), params.get("p", 0))
@@ -527,8 +530,14 @@ def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
             if cfg.fail_fast and check["verdict"] == FAIL:
                 break
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+        # One task per (law, n) run of jobs, so one thread walks laws.power
+        # along the whole e range of that run.
+        runs = [list(run) for _, run in itertools.groupby(
+            jobs, key=lambda job: (job[0], job[1].get("n")))]
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            checks = list(pool.map(_run, jobs))
+            checks = [check for run in pool.map(_run_all, runs) for check in run]
     checks.sort(key=_sort_key)
     summary = {
         "pass": sum(1 for c in checks if c["verdict"] == PASS),

@@ -21,6 +21,11 @@ Miller-Rabin. Products, sums, scalings and powers of matrices that were
 already validated are built through the trusted constructors `_exact`
 and `_mod`, which check nothing, so a product costs only its arithmetic.
 
+The modular product uses Kronecker substitution: each row of the right
+factor is packed into one Python int, so a row of the product is n
+big-int scalar multiplies instead of n dot products. Exact products are
+not packed, because on large entries packing was measured slower.
+
 Everything in this module is a pure function on immutable values, so
 instances may be shared freely across threads.
 """
@@ -286,13 +291,35 @@ def mat_mod(a: ExactMatrix, p: int) -> ModMatrix:
 
 
 def modmat_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
+    """Product mod p by Kronecker substitution.
+
+    Row j of b becomes one int holding b[j][k] in the k-th slot of
+    `width` bits, so row i of the product is the single sum of
+    a[i][j] * packed[j]. A slot then holds the dot product of row i and
+    column k, at most n * (p - 1)**2 < 2**width, so no slot carries into
+    the next one and each is read back with shift, mask and % p.
+    """
     if a.n != b.n or a.p != b.p:
         raise ValueError("dimension or modulus mismatch")
-    p = a.p
+    n, p = a.n, a.p
+    width = (n * (p - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    packed = []
+    for row in b.rows:
+        acc = 0
+        for x in reversed(row):
+            acc = acc << width | x
+        packed.append(acc)
     mul = operator.mul
-    cols = tuple(zip(*b.rows))
-    return _mod(a.n, p, tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
-                              for row in a.rows))
+    rows = []
+    for row in a.rows:
+        acc = sum(map(mul, row, packed))
+        cells = []
+        for _ in range(n):
+            cells.append((acc & mask) % p)
+            acc >>= width
+        rows.append(tuple(cells))
+    return _mod(n, p, tuple(rows))
 
 
 def modmat_pow(a: ModMatrix, e: int) -> ModMatrix:

@@ -7,8 +7,15 @@ R_n**e = s * I mod p for an explicit scalar s, hence R_n**(4e) = I, so
 the exact order is found by factor removal: starting from the
 annihilating exponent N = 4e, each prime q dividing N is stripped for
 as long as M**(N/q) = I, which takes O(omega(N) * log N) powers rather
-than one per divisor. The right-matrix order is computed once per
-(n, p) and shared by every theorem check that reports it. Should
+than one per divisor. Each power is a product of rungs from one ladder
+of repeated squares M**(2**k), shared by every power of one order
+computation.
+
+The right-matrix laws read R_n mod p at e, 4e, the factor-removal
+exponents and p -/+ 1. One ladder per (n, p) makes all of these powers
+once; the memo keeps only what the laws read off them (the order, the
+scalar that R_n**e equals, whether R_n**(p-1) = I and the scalar of
+R_n**(p+1)), and each law compares those with its closed form. Should
 R_n**(4e) = I itself fail, every right-matrix theorem reports that as
 a failed fourth-power-identity check, with no order. Fibonacci values
 enter only as residues, by fast doubling mod p.
@@ -30,8 +37,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import ModMatrix, is_prime, mat_mod, modmat_pow, prime_factors
+from .core import ModMatrix, is_prime, mat_mod, modmat_mul, prime_factors
 from .fib import entry_point, fib_pair_mod, pisano_period
 from .pascal import build_left, build_right, left_power_entry
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
@@ -85,25 +93,72 @@ def _is_invertible(m: ModMatrix) -> bool:
     return True
 
 
+class _Ladder:
+    """Powers of one matrix mod p, read off its repeated squares.
+
+    The rung m**(2**k) is made by squaring the rung below it, the first
+    time an exponent needs it, and m**e is the product of the rungs at
+    the set bits of e. Every power made is kept under its exponent, so a
+    power asked for again costs nothing. A ladder serves one order
+    computation and is dropped with it.
+    """
+
+    def __init__(self, m: ModMatrix) -> None:
+        self.identity = ModMatrix.identity(m.n, m.p)
+        self._powers = {1: m}
+
+    def power(self, e: int) -> ModMatrix:
+        """m**e for e >= 1."""
+        powers = self._powers
+        result = powers.get(e)
+        if result is None:
+            bit, rest = 1, e
+            while rest:
+                rung = powers.get(bit)
+                if rung is None:
+                    half = powers[bit >> 1]
+                    rung = powers[bit] = modmat_mul(half, half)
+                if rest & bit:
+                    result = rung if result is None else modmat_mul(result, rung)
+                    rest ^= bit
+                bit <<= 1
+            powers[e] = result
+        return result
+
+
+def _order(ladder: _Ladder, exponent_bound: int) -> int:
+    """Least annihilating exponent of the ladder's matrix, by factor
+    removal from an exponent bound that must annihilate it."""
+    ident = ladder.identity
+    if ladder.power(exponent_bound) != ident:
+        raise BoundNotAnnihilating("bound is not annihilating")
+    order = exponent_bound
+    for q in prime_factors(exponent_bound):
+        while order % q == 0 and ladder.power(order // q) == ident:
+            order //= q
+    return order
+
+
 def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
     """Exact multiplicative order of m, given an annihilating exponent.
 
     The order divides exponent_bound, so each prime factor q is removed
     from the bound while m**(bound/q) is still the identity; what is
-    left is the least annihilating exponent.
+    left is the least annihilating exponent. The powers come from one
+    ladder of repeated squares of m.
     """
     if exponent_bound < 1:
         raise ValueError("exponent bound must be positive")
     if not _is_invertible(m):
         raise ValueError(f"matrix is singular modulo {m.p}")
-    ident = ModMatrix.identity(m.n, m.p)
-    if modmat_pow(m, exponent_bound) != ident:
-        raise BoundNotAnnihilating("bound is not annihilating")
-    order = exponent_bound
-    for q in prime_factors(exponent_bound):
-        while order % q == 0 and modmat_pow(m, order // q) == ident:
-            order //= q
-    return order
+    return _order(_Ladder(m), exponent_bound)
+
+
+def _scalar_of(m: ModMatrix) -> int | None:
+    """s where m = s * I, or None if m is not a scalar matrix."""
+    s = m.rows[0][0]
+    scalar = ModMatrix.scalar(m.n, m.p, s)
+    return s if m == scalar else None
 
 
 def _neg_one_pow(exponent: int, p: int) -> int:
@@ -133,31 +188,54 @@ def verify_left_order(n: int, p: int) -> OrderReport:
     return OrderReport("left", n, p, order, p, checks)
 
 
-# (n, p) -> (entry point, order of R_n mod p), with order None where
-# R_n**(4e) != I; each right-matrix law then reports that failure. Only
-# integers are kept, so the memo stays small however many (n, p) a
-# campaign visits; the lock makes each order search run once even under
-# --threads.
-_right_orders: dict[tuple[int, int], tuple[int, int | None]] = {}
+class _RightFacts(NamedTuple):
+    """What the right-matrix laws need to know about R_n mod p.
+
+    Every field is an integer, a bool or None, read off powers of R_n
+    alone; the laws compare them with their closed forms.
+    """
+
+    e: int                          # entry point of p
+    order: int | None               # None where R_n**(4e) != I
+    scalar_e: int | None            # s with R_n**e = s * I, else None
+    pminus1_identity: bool | None   # R_n**(p-1) == I; None unless p | F_{p-1}
+    pplus1_scalar: int | None       # s with R_n**(p+1) = s * I; None unless
+                                    # p | F_{p+1} and that power is scalar
+
+
+# (n, p) -> the facts above. No matrix is kept, so the memo stays small
+# however many (n, p) a campaign visits; the lock makes each fill run
+# once even under --threads, so at most one ladder of R_n exists at a time.
+_right_orders: dict[tuple[int, int], _RightFacts] = {}
 _right_orders_lock = threading.Lock()
 
 
-def _right_order_data(n: int, p: int) -> tuple[ModMatrix, int, int | None]:
+def _right_facts(n: int, p: int) -> _RightFacts:
+    """Every power of R_n mod p that a right-matrix law reads, from one ladder."""
+    ladder = _Ladder(mat_mod(build_right(n), p))
+    e = entry_point(p)
+    try:
+        order = _order(ladder, 4 * e)
+    except BoundNotAnnihilating:
+        order = None
+    pminus1 = pplus1 = None
+    if fib_pair_mod(p - 1, p)[0] == 0:
+        pminus1 = ladder.power(p - 1) == ladder.identity
+    if fib_pair_mod(p + 1, p)[0] == 0:
+        pplus1 = _scalar_of(ladder.power(p + 1))
+    return _RightFacts(e, order, _scalar_of(ladder.power(e)), pminus1, pplus1)
+
+
+def _right_order_data(n: int, p: int) -> _RightFacts:
     if n < 2:
         raise ValueError("right-matrix theorems require n >= 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rm = mat_mod(build_right(n), p)
     with _right_orders_lock:
-        data = _right_orders.get((n, p))
-        if data is None:
-            e = entry_point(p)
-            try:
-                order = matrix_order_mod(rm, 4 * e)
-            except BoundNotAnnihilating:
-                order = None
-            data = _right_orders[(n, p)] = (e, order)
-    return (rm, *data)
+        facts = _right_orders.get((n, p))
+        if facts is None:
+            facts = _right_orders[(n, p)] = _right_facts(n, p)
+    return facts
 
 
 def _fourth_power_failure(n: int, p: int, e: int) -> OrderReport:
@@ -173,8 +251,8 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
     (-1)**((k+1)e) * F_{e-1} * I for n = 2k and (-1)**(ke) * I for
     n = 2k+1. Also asserts the fourth-power identity R_n**(4e) = I.
     """
-    rm, e, order = _right_order_data(n, p)
-    re = modmat_pow(rm, e)
+    facts = _right_order_data(n, p)
+    e = facts.e
     f_prev = fib_pair_mod(e - 1, p)[0]
     generic = pow(f_prev, n - 1, p)
     if n % 2 == 0:
@@ -187,43 +265,43 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
         refined_id = "signed-scalar-odd"
     checks = {
         "scalar-form": CheckResult(
-            PASS if re == ModMatrix.scalar(n, p, generic) else FAIL,
+            PASS if facts.scalar_e == generic else FAIL,
             {"entry_point": e, "scalar": generic}),
         refined_id: CheckResult(
-            PASS if re == ModMatrix.scalar(n, p, refined) else FAIL,
+            PASS if facts.scalar_e == refined else FAIL,
             {"scalar": refined}),
         # The order search found R_n**(4e) = I exactly when it found an order.
-        "fourth-power-identity": CheckResult(PASS if order is not None else FAIL),
+        "fourth-power-identity": CheckResult(
+            PASS if facts.order is not None else FAIL),
     }
-    return OrderReport("right", n, p, order, 4 * e, checks)
+    return OrderReport("right", n, p, facts.order, 4 * e, checks)
 
 
 def verify_pminus1(n: int, p: int) -> OrderReport:
     """If p | F_{p-1}, assert R_n**(p-1) = I mod p."""
-    rm, e, order = _right_order_data(n, p)
-    if order is None:
-        return _fourth_power_failure(n, p, e)
+    facts = _right_order_data(n, p)
+    if facts.order is None:
+        return _fourth_power_failure(n, p, facts.e)
     if fib_pair_mod(p - 1, p)[0] != 0:
         checks = {"p-minus-1-identity": CheckResult(HYPOTHESIS_NOT_MET)}
     else:
-        ok = modmat_pow(rm, p - 1) == ModMatrix.identity(n, p)
-        checks = {"p-minus-1-identity": CheckResult(PASS if ok else FAIL)}
-    return OrderReport("right", n, p, order, 4 * e, checks)
+        checks = {"p-minus-1-identity": CheckResult(
+            PASS if facts.pminus1_identity else FAIL)}
+    return OrderReport("right", n, p, facts.order, 4 * facts.e, checks)
 
 
 def verify_pplus1(n: int, p: int) -> OrderReport:
     """If p | F_{p+1}, assert R_n**(p+1) = I (odd n) or -I (even n) mod p."""
-    rm, e, order = _right_order_data(n, p)
-    if order is None:
-        return _fourth_power_failure(n, p, e)
+    facts = _right_order_data(n, p)
+    if facts.order is None:
+        return _fourth_power_failure(n, p, facts.e)
     if fib_pair_mod(p + 1, p)[0] != 0:
         checks = {"p-plus-1-identity": CheckResult(HYPOTHESIS_NOT_MET)}
     else:
         scalar = 1 if n % 2 == 1 else (p - 1) % p
-        ok = modmat_pow(rm, p + 1) == ModMatrix.scalar(n, p, scalar)
-        checks = {"p-plus-1-identity": CheckResult(PASS if ok else FAIL,
-                                                   {"scalar": scalar})}
-    return OrderReport("right", n, p, order, 4 * e, checks)
+        checks = {"p-plus-1-identity": CheckResult(
+            PASS if facts.pplus1_scalar == scalar else FAIL, {"scalar": scalar})}
+    return OrderReport("right", n, p, facts.order, 4 * facts.e, checks)
 
 
 def verify_order_bound(n: int, p: int) -> OrderReport:
@@ -234,7 +312,7 @@ def verify_order_bound(n: int, p: int) -> OrderReport:
     order == 2(p+1) exactly, and applies only with n even to primes in
     the +-2 mod 5 class whose Pisano period is 2(p+1).
     """
-    rm, e, order = _right_order_data(n, p)
+    e, order = _right_order_data(n, p)[:2]
     if order is None:
         return _fourth_power_failure(n, p, e)
     if p == 5:

@@ -10,6 +10,11 @@ exponentiation that multiplies into the identity. These are the slow
 paths that the library's prime fast paths, factor-removal order
 search and trusted-constructor kernels are tested against.
 
+The order-law verifiers take every matrix power afresh with the slow
+power and every Fibonacci value, entry point and period by iteration,
+so they share neither the library's ladder of repeated squares nor its
+packed modular multiply nor its fast-doubling residues.
+
 The cell-law verifiers at the end are the laws' loops written cell by
 cell: every cell read through the bounds-checked entry(), every sum
 summed afresh. They take their power matrix from laws.power at call
@@ -18,6 +23,7 @@ same matrix to both. Slow on purpose; only run at small sizes.
 """
 
 from itertools import permutations, product
+from math import comb
 
 from pascalfib import laws
 from pascalfib.core import (
@@ -28,6 +34,8 @@ from pascalfib.core import (
     mat_scale,
 )
 from pascalfib.fib import fib
+from pascalfib.modorder import CheckResult, OrderReport
+from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 from pascalfib.pascal import binomial, build_left, build_right, left_power_entry
 
 
@@ -172,6 +180,108 @@ def modmat_pow_slow(a: ModMatrix, e: int) -> ModMatrix:
         if e:
             base = modmat_mul_slow(base, base)
     return result
+
+
+# ---------------------------------------------------------------------------
+# order-law verifiers, one slow power per exponent
+
+
+def _reduce(m: ExactMatrix, p: int) -> ModMatrix:
+    return ModMatrix(m.n, p, tuple(tuple(x % p for x in row) for row in m.rows))
+
+
+def _order_slow(m: ModMatrix, exponent_bound: int) -> int | None:
+    """Factor removal from exponent_bound with a fresh slow power per
+    exponent tried; None if exponent_bound does not annihilate m."""
+    ident = ModMatrix.identity(m.n, m.p)
+    if modmat_pow_slow(m, exponent_bound) != ident:
+        return None
+    order = exponent_bound
+    for q in prime_factors_naive(exponent_bound):
+        while order % q == 0 and modmat_pow_slow(m, order // q) == ident:
+            order //= q
+    return order
+
+
+def _neg_one_pow(exponent: int, p: int) -> int:
+    return 1 if exponent % 2 == 0 else (p - 1) % p
+
+
+def verify_left_order_slow(n: int, p: int) -> OrderReport:
+    order = _order_slow(_reduce(build_left(n), p), p)
+    offdiag = all(comb(i - 1, j - 1) * p ** (i - j) % p == 0
+                  for i in range(1, n + 1) for j in range(1, i))
+    return OrderReport("left", n, p, order, p, {
+        "order-equals-p": CheckResult(PASS if order == p else FAIL, {"order": order}),
+        "closed-form-offdiagonal": CheckResult(PASS if offdiag else FAIL),
+    })
+
+
+def right_order_reports_slow(n: int, p: int, e: int | None = None) -> dict[str, OrderReport]:
+    """The reports of scalar-power, p-minus-1, p-plus-1 and order-bound,
+    keyed by law id, each matrix power taken afresh by modmat_pow_slow.
+
+    e defaults to the entry point of p by scan; a wrong e shows the
+    reports of a false fourth-power premise.
+    """
+    if e is None:
+        e = entry_point_naive(p)
+    rm = _reduce(build_right(n), p)
+    order = _order_slow(rm, 4 * e)
+    failure = OrderReport("right", n, p, None, 4 * e, {
+        "fourth-power-identity": CheckResult(FAIL, {"entry_point": e})})
+
+    def report(checks: dict[str, CheckResult]) -> OrderReport:
+        return OrderReport("right", n, p, order, 4 * e, checks)
+
+    re = modmat_pow_slow(rm, e)
+    f_prev = fib_naive(e - 1) % p
+    generic = pow(f_prev, n - 1, p)
+    if n % 2 == 0:
+        refined = _neg_one_pow((n // 2 + 1) * e, p) * f_prev % p
+        refined_id = "signed-scalar-even"
+    else:
+        refined = _neg_one_pow((n - 1) // 2 * e, p)
+        refined_id = "signed-scalar-odd"
+    reports = {"scalar-power": report({
+        "scalar-form": CheckResult(
+            PASS if re == ModMatrix.scalar(n, p, generic) else FAIL,
+            {"entry_point": e, "scalar": generic}),
+        refined_id: CheckResult(
+            PASS if re == ModMatrix.scalar(n, p, refined) else FAIL, {"scalar": refined}),
+        "fourth-power-identity": CheckResult(PASS if order is not None else FAIL),
+    })}
+    if order is None:
+        return {**reports, "p-minus-1": failure, "p-plus-1": failure,
+                "order-bound": failure}
+
+    if fib_naive(p - 1) % p:
+        pminus1 = CheckResult(HYPOTHESIS_NOT_MET)
+    else:
+        ok = modmat_pow_slow(rm, p - 1) == ModMatrix.identity(n, p)
+        pminus1 = CheckResult(PASS if ok else FAIL)
+    reports["p-minus-1"] = report({"p-minus-1-identity": pminus1})
+
+    if fib_naive(p + 1) % p:
+        pplus1 = CheckResult(HYPOTHESIS_NOT_MET)
+    else:
+        scalar = 1 if n % 2 == 1 else (p - 1) % p
+        ok = modmat_pow_slow(rm, p + 1) == ModMatrix.scalar(n, p, scalar)
+        pplus1 = CheckResult(PASS if ok else FAIL, {"scalar": scalar})
+    reports["p-plus-1"] = report({"p-plus-1-identity": pplus1})
+
+    bound = {"order": order, "bound": 2 * (p + 1)}
+    if p == 5:
+        within = CheckResult(HYPOTHESIS_NOT_MET, {"order": order})
+    else:
+        within = CheckResult(PASS if order <= 2 * (p + 1) else FAIL, bound)
+    if p % 5 in (2, 3) and n % 2 == 0 and pisano_naive(p) == 2 * (p + 1):
+        tight = CheckResult(PASS if order == 2 * (p + 1) else FAIL, bound)
+    else:
+        tight = CheckResult(HYPOTHESIS_NOT_MET, {"order": order})
+    reports["order-bound"] = report({"within-2p-plus-2": within,
+                                     "tightness-even-dimension": tight})
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import importlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -393,6 +395,17 @@ class TestGoldenCampaign:
         code, out, err = run(capsys, *self.ARGS, "--format", fmt, "--threads", threads)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_thread_pool(self):
+        # concurrent.futures brings in logging, traceback and string;
+        # only a --threads pool needs it, and every CLI process imports cli.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        probe = "import sys, pascalfib.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out == "False\n"
 
 
 def _cell_failure(monkeypatch, verifier):

@@ -188,6 +188,44 @@ class TestKernelsMatchSlowPaths:
             assert modmat_pow(m, e) == modmat_pow_slow(m, e)
 
 
+def _next_prime(x):
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+class TestPackedModularMultiply:
+    """modmat_mul packs rows into slots of (n * (p - 1)**2).bit_length()
+    bits; the generator product in tests/oracles.py packs nothing."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64])
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+    def test_every_slot_at_its_largest_sum(self, n, p):
+        # All entries p - 1, so every slot sums to n * (p - 1)**2, which
+        # fills the slot width exactly.
+        a = ModMatrix(n, p, ((p - 1,) * n,) * n)
+        assert modmat_mul(a, a) == modmat_mul_slow(a, a)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64])
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+    def test_largest_slots_next_to_zero_slots(self, n, p):
+        # Rows of b alternate p - 1 and 0, so a carry out of a full slot
+        # would show in the empty slot above it.
+        a = ModMatrix(n, p, ((p - 1,) * n,) * n)
+        b = ModMatrix(n, p, tuple(tuple((p - 1) * ((i + j) % 2) for j in range(n))
+                                  for i in range(n)))
+        assert modmat_mul(a, b) == modmat_mul_slow(a, b)
+        assert modmat_mul(b, a) == modmat_mul_slow(b, a)
+
+    @given(st.data(), st.integers(1, 8), st.integers(2, 2**31 - 1).map(_next_prime))
+    def test_random_residues(self, data, n, p):
+        residues = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
+        a, b = (ModMatrix(n, p, tuple(tuple(data.draw(st.lists(
+                    residues, min_size=n, max_size=n))) for _ in range(n)))
+                for _ in range(2))
+        assert modmat_mul(a, b) == modmat_mul_slow(a, b)
+
+
 class TestMatMul:
     def test_identity_absorbs(self):
         a = build_left(3)

@@ -357,6 +357,18 @@ class TestCampaignPowerCounts:
         assert report["summary"] == {"pass": 10, "fail": 0}
         assert (pows[0], muls[0]) == (1, 9)
 
+    def test_thread_pool_walks_as_the_serial_run_does(self, monkeypatch):
+        # One pool task per (law, n), so each n walks e 1..10 in one
+        # thread: 1 mat_pow per n with or without the pool.
+        pows = _count_calls(monkeypatch, laws, "mat_pow")
+        serial = cli.CampaignConfig(("fib-recurrence",), n_range=(2, 4), e_range=(1, 10))
+        pooled = cli.CampaignConfig(("fib-recurrence",), n_range=(2, 4), e_range=(1, 10),
+                                    threads=2)
+        [report] = _in_threads(1, lambda: cli.run_campaign(serial))
+        serial_pows = pows[0]
+        assert cli.run_campaign(pooled) == report
+        assert serial_pows == pows[0] - serial_pows == 3
+
     def test_left_closed_form_inverts_once(self, monkeypatch):
         inverses = _count_calls(monkeypatch, core, "unimodular_inverse")
         cfg = cli.CampaignConfig(("left-closed-form",), n_range=(5, 5),

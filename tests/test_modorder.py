@@ -3,11 +3,11 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pascalfib import modorder
-from pascalfib.core import ModMatrix, mat_mod
+from pascalfib import cli, modorder
+from pascalfib.core import ExactMatrix, ModMatrix, mat_mod
 from pascalfib.fib import entry_point
 from pascalfib.modorder import (
     BoundNotAnnihilating,
@@ -21,7 +21,12 @@ from pascalfib.modorder import (
 from pascalfib.pascal import build_left, build_right
 from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
-from oracles import matrix_order_by_divisors, primes_below
+from oracles import (
+    matrix_order_by_divisors,
+    primes_below,
+    right_order_reports_slow,
+    verify_left_order_slow,
+)
 
 TEST_PRIMES = (2, 3, 5, 7, 11, 13)
 PRIMES_UNDER_10K = primes_below(10_000)
@@ -209,15 +214,17 @@ class TestOrderBound:
 
 class TestRightOrderMemo:
     def test_one_order_search_per_n_p_under_threads(self, monkeypatch):
+        # The order search, like every power of R_n mod p, happens in the
+        # one fill of the memo per (n, p).
         searches = Counter()
-        search = modorder.matrix_order_mod
+        fill = modorder._right_facts
 
-        def counted(m, bound):
-            searches[(m.n, m.p)] += 1
-            return search(m, bound)
+        def counted(n, p):
+            searches[(n, p)] += 1
+            return fill(n, p)
 
         monkeypatch.setattr(modorder, "_right_orders", {})
-        monkeypatch.setattr(modorder, "matrix_order_mod", counted)
+        monkeypatch.setattr(modorder, "_right_facts", counted)
         grid = [(n, p) for n in range(2, 6) for p in (7, 11, 13, 29)]
         laws = (verify_scalar_power, verify_pminus1, verify_pplus1, verify_order_bound)
         orders = {}
@@ -240,6 +247,152 @@ class TestRightOrderMemo:
         assert not any(t.is_alive() for t in threads)
         assert searches == Counter(dict.fromkeys(grid, 1))
         assert all(len(found) == 1 for found in orders.values())
+
+    def test_memo_holds_no_matrix(self, monkeypatch):
+        # The ladder is dropped after the fill; only integers, booleans
+        # and None stay behind.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        for p in (2, 5, 11, 13):
+            right_order_reports(6, p)
+        facts = list(modorder._right_orders.values())
+        assert len(facts) == 4
+        assert all(type(x) in (int, bool, type(None)) for fact in facts for x in fact)
+
+
+RIGHT_LAWS = {"scalar-power": verify_scalar_power, "p-minus-1": verify_pminus1,
+              "p-plus-1": verify_pplus1, "order-bound": verify_order_bound}
+
+
+def right_order_reports(n, p):
+    return {name: law(n, p) for name, law in RIGHT_LAWS.items()}
+
+
+def _count_modmat_mul(monkeypatch):
+    """Count the modular multiplies modorder makes, in counter[0]."""
+    counter = [0]
+    real = modorder.modmat_mul
+
+    def counted(a, b):
+        counter[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(modorder, "modmat_mul", counted)
+    return counter
+
+
+class TestLadderMatchesSlowPath:
+    """The five order reports, with every power read off one ladder per
+    (n, p), against one slow power per exponent in tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.sampled_from(PRIMES_UNDER_10K))
+    @example(2, 2)
+    @example(3, 2)
+    @example(4, 5)
+    @example(5, 5)
+    @example(4, 13)
+    @example(2, 4157)
+    def test_five_reports(self, n, p):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modorder, "_right_orders", {})
+            assert right_order_reports(n, p) == right_order_reports_slow(n, p)
+            assert verify_left_order(n, p) == verify_left_order_slow(n, p)
+
+    def test_false_fourth_power_premise(self, monkeypatch):
+        wrong_entry_point_at_13(monkeypatch)
+        reports = right_order_reports(4, 13)
+        assert reports == right_order_reports_slow(4, 13, e=8)
+        assert reports["scalar-power"].theorem_checks["scalar-form"].verdict == FAIL
+
+    def test_same_n_p_from_every_law_at_once(self, monkeypatch):
+        # Five threads, one law each, walk the same (n, p) grid in step,
+        # so fills and reads of one (n, p) race under a 1 us switch interval.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        grid = [(n, p) for p in (2, 5, 7, 11, 13, 29, 4157) for n in range(2, 6)]
+        expected = {(n, p): {**right_order_reports_slow(n, p),
+                             "left-order": verify_left_order_slow(n, p)}
+                    for n, p in grid}
+        laws = {**RIGHT_LAWS, "left-order": verify_left_order}
+        seen = {name: {} for name in laws}
+
+        def work(name):
+            for n, p in grid:
+                seen[name][(n, p)] = laws[name](n, p)
+
+        threads = [threading.Thread(target=work, args=(name,)) for name in laws]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert set(modorder._right_orders) == set(grid)
+        for name in laws:
+            assert seen[name] == {key: reports[name] for key, reports in expected.items()}
+
+
+class TestModularMultiplyCounts:
+    def test_order_right_4_13(self, monkeypatch):
+        # R_4 mod 13: e = 7, 4e = 28 = 0b11100, and 13 = 3 mod 5, so the
+        # p-plus-1 law needs R^14. Rungs R^2, R^4, R^8, R^16: 4 squarings.
+        # R^28 = R^4 R^8 R^16: 2 multiplies. Factor removal tries
+        # R^(28/2) = R^14 = R^2 R^4 R^8: 2 (it is -I, so the order keeps
+        # its 2s) and R^(28/7) = R^4, a rung: 0. R^7 = R R^2 R^4: 2.
+        # R^(p+1) = R^14 was already made: 0. In all 4 + 2 + 2 + 2 = 10.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        muls = _count_modmat_mul(monkeypatch)
+        assert cli.main(["order", "right", "4", "13"]) == 0
+        assert muls[0] == 10
+
+    def test_four_right_laws_at_4_13_share_one_ladder(self, monkeypatch):
+        # The same 10 as `order right 4 13`: the one fill per (n, p)
+        # makes every power the four laws read.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        muls = _count_modmat_mul(monkeypatch)
+        reports = right_order_reports(4, 13)
+        assert all(report.passed for report in reports.values())
+        assert muls[0] == 10
+        right_order_reports(4, 13)
+        assert muls[0] == 10
+
+    def test_left_order_4_13(self, monkeypatch):
+        # 13 = 0b1101: rungs L^2, L^4, L^8 take 3 squarings and
+        # L^13 = L L^4 L^8 takes 2; the one factor, 13, leaves L^1 = L.
+        muls = _count_modmat_mul(monkeypatch)
+        assert verify_left_order(4, 13).order == 13
+        assert muls[0] == 5
+
+
+class TestFactsComeFromTheMatrix:
+    """Each fact is read off powers of the matrix the fill is given. With
+    R_4 swapped for a 4-cycle P (order 4, so 4e still annihilates it),
+    every law whose predicted power P is not fails."""
+
+    @pytest.fixture(autouse=True)
+    def four_cycle(self, monkeypatch):
+        cycle = ExactMatrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0],
+                                       [0, 0, 0, 1], [1, 0, 0, 0]])
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        monkeypatch.setattr(modorder, "build_right", lambda n: cycle)
+
+    def test_p_minus_1(self):
+        # 11 | F_10, and P^10 = P^2 != I.
+        report = verify_pminus1(4, 11)
+        assert report.order == 4
+        assert report.theorem_checks["p-minus-1-identity"].verdict == FAIL
+
+    def test_p_plus_1_and_scalar_power(self):
+        # 13 | F_14 and e = 7: neither P^14 = P^2 nor P^7 = P^3 is scalar.
+        assert verify_order_bound(4, 13).order == 4
+        assert verify_pplus1(4, 13).theorem_checks["p-plus-1-identity"].verdict == FAIL
+        checks = verify_scalar_power(4, 13).theorem_checks
+        assert checks["scalar-form"].verdict == FAIL
+        assert checks["signed-scalar-even"].verdict == FAIL
+        assert checks["fourth-power-identity"].verdict == PASS
 
 
 def wrong_entry_point_at_13(monkeypatch):
