@@ -221,6 +221,12 @@ def order_report_payload(report: modorder.OrderReport) -> dict[str, Any]:
     }
 
 
+def _check_modulus(m: int) -> None:
+    # Entry points and orders factor p -/+ 1 by trial division, too slow past MAX_P.
+    if m > MAX_P:
+        raise UsageError(f"modulus {m} exceeds the limit 2^31 - 1")
+
+
 # ---------------------------------------------------------------------------
 # matrix subcommand
 
@@ -240,6 +246,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     action = args.action
     if action == "pow" and args.exponent is None:
         raise UsageError("pow requires an exponent")
+    if action != "pow" and args.exponent is not None:
+        raise UsageError(f"{action} takes no exponent")
     if action == "show":
         result = base
     elif action == "pow":
@@ -275,6 +283,7 @@ def cmd_fib(args: argparse.Namespace) -> int:
     if query in ("entry-point", "period"):
         if value < 2:
             raise UsageError("modulus must be at least 2")
+        _check_modulus(value)
         result = (entry_point(value) if query == "entry-point"
                   else pisano_period(value))
         emit({"object": "integer", "value": str(result)}, fmt)
@@ -286,6 +295,7 @@ def cmd_fib(args: argparse.Namespace) -> int:
         emit({"object": "integer", "value": str(result)}, fmt)
         return 0
     # bloom-wall
+    _check_modulus(value)
     if not is_prime(value) or value in (2, 5):
         raise UsageError(f"bloom-wall requires an odd prime other than 5, got {value}")
     report = bloom_wall_check(value)
@@ -307,6 +317,7 @@ def cmd_fib(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
+    _check_modulus(args.p)
     if not is_prime(args.p):
         raise UsageError(f"{args.p} is not prime")
     if args.n < 1 or args.n > MAX_N:
@@ -331,7 +342,7 @@ class CampaignConfig:
     primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
     output_format: str = "json"
     fail_fast: bool = False
-    threads: int = 1
+    threads: int = 1  # validated, and reserved for a process pool; unused
 
     def __post_init__(self) -> None:
         # A repeated law id or prime names the same checks again; keep the
@@ -510,34 +521,21 @@ def _run(job: Job) -> Check:
     return check
 
 
-def _run_all(jobs: list[Job]) -> list[Check]:
-    return [_run(job) for job in jobs]
-
-
 def _sort_key(check: Check) -> tuple:
     params = check["params"]
     return (check["law"], params.get("n", 0), params.get("e", 0), params.get("p", 0))
 
 
 def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
-    """Execute every requested law over its grid; deterministic report."""
+    """Execute every requested law over its grid, in order on the calling
+    thread (a thread pool measured slower); deterministic report."""
     jobs = [job for name in cfg.laws for job in _grid(name, cfg)]
     checks: list[Check] = []
-    if cfg.fail_fast or cfg.threads == 1:
-        for job in jobs:
-            check = _run(job)
-            checks.append(check)
-            if cfg.fail_fast and check["verdict"] == FAIL:
-                break
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-        # One task per (law, n) run of jobs, so one thread walks laws.power
-        # along the whole e range of that run.
-        runs = [list(run) for _, run in itertools.groupby(
-            jobs, key=lambda job: (job[0], job[1].get("n")))]
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            checks = [check for run in pool.map(_run_all, runs) for check in run]
+    for job in jobs:
+        check = _run(job)
+        checks.append(check)
+        if cfg.fail_fast and check["verdict"] == FAIL:
+            break
     checks.sort(key=_sort_key)
     summary = {
         "pass": sum(1 for c in checks if c["verdict"] == PASS),

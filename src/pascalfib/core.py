@@ -81,6 +81,16 @@ def prime_factors(x: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def strip_prime_factors(bound: int, holds: Callable[[int], bool]) -> int:
+    """Factor removal: divide each prime q of bound out, in ascending order,
+    while q divides what is left, N, and holds(N // q). When holds is true
+    exactly on the multiples of a divisor d of bound, this returns d."""
+    for q in prime_factors(bound):
+        while bound % q == 0 and holds(bound // q):
+            bound //= q
+    return bound
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Immutable square matrix of arbitrary-precision integers."""

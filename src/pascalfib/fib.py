@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .core import is_prime, prime_factors
+from .core import is_prime, strip_prime_factors
 from .pascal import binomial
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
@@ -141,21 +141,14 @@ def _entry_point_prime(p: int) -> int:
     n = _bloom_wall_multiple(p)
     if fib_pair_mod(n, p)[0] != 0:
         return _entry_point_scan(p)
-    for q in prime_factors(n):
-        while n % q == 0 and fib_pair_mod(n // q, p)[0] == 0:
-            n //= q
-    return n
+    return strip_prime_factors(n, lambda k: fib_pair_mod(k, p)[0] == 0)
 
 
 def _pisano_prime(p: int, e: int) -> int:
     # (F_e, F_{e+1}) = (0, s), so the sequence restarts scaled by s
     # every e steps and returns to (0, 1) after e * ord_p(s) steps.
     s = fib_pair_mod(e, p)[1]
-    order = p - 1
-    for q in prime_factors(p - 1):
-        while order % q == 0 and pow(s, order // q, p) == 1:
-            order //= q
-    return e * order
+    return e * strip_prime_factors(p - 1, lambda k: pow(s, k, p) == 1)
 
 
 def _entry_point_scan(m: int) -> int:

@@ -39,7 +39,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import ModMatrix, is_prime, mat_mod, modmat_mul, prime_factors
+from .core import ModMatrix, is_prime, mat_mod, modmat_mul, strip_prime_factors
 from .fib import entry_point, fib_pair_mod, pisano_period
 from .pascal import build_left, build_right, left_power_entry
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
@@ -132,11 +132,7 @@ def _order(ladder: _Ladder, exponent_bound: int) -> int:
     ident = ladder.identity
     if ladder.power(exponent_bound) != ident:
         raise BoundNotAnnihilating("bound is not annihilating")
-    order = exponent_bound
-    for q in prime_factors(exponent_bound):
-        while order % q == 0 and ladder.power(order // q) == ident:
-            order //= q
-    return order
+    return strip_prime_factors(exponent_bound, lambda k: ladder.power(k) == ident)
 
 
 def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
@@ -205,7 +201,7 @@ class _RightFacts(NamedTuple):
 
 # (n, p) -> the facts above. No matrix is kept, so the memo stays small
 # however many (n, p) a campaign visits; the lock makes each fill run
-# once even under --threads, so at most one ladder of R_n exists at a time.
+# once even when threads share it, so at most one ladder of R_n exists.
 _right_orders: dict[tuple[int, int], _RightFacts] = {}
 _right_orders_lock = threading.Lock()
 

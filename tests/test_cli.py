@@ -27,6 +27,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args, timeout=60):
+    """`python *args` in a fresh interpreter with src on its path."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=timeout)
+
+
 class TestMatrixCommand:
     def test_right_pow_plain(self, capsys):
         code, out, _ = run(capsys, "matrix", "right", "2", "pow", "5")
@@ -96,6 +103,12 @@ class TestMatrixCommand:
         code, _, err = run(capsys, "matrix", "left", "3", "pow")
         assert code == 2 and "exponent" in err
 
+    @pytest.mark.parametrize("action, exponent", [
+        ("inverse", "-2"), ("show", "5"), ("det", "0"), ("charpoly", "3")])
+    def test_exponent_without_pow(self, capsys, action, exponent):
+        code, out, err = run(capsys, "matrix", "left", "3", action, exponent)
+        assert (code, out, err) == (2, "", f"error: {action} takes no exponent\n")
+
     def test_dimension_cap(self, capsys):
         code, _, err = run(capsys, "matrix", "left", "65", "show")
         assert code == 2
@@ -151,6 +164,25 @@ class TestOrderCommand:
 
     def test_composite_p_rejected(self, capsys):
         assert run(capsys, "order", "right", "3", "9")[0] == 2
+
+
+class TestModulusLimit:
+    # A prime with (P - 1)/2 prime, far above 2^31: factoring P -/+ 1 by
+    # trial division would not finish, so it must be refused up front.
+    P = "200000000000002799"
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "right", "4", P), ("order", "left", "4", P),
+        ("fib", "entry-point", P), ("fib", "period", P), ("fib", "bloom-wall", P),
+        ("order", "right", "4", "2147483648"), ("fib", "period", "2147483648")],
+        ids=" ".join)
+    def test_above_2_31_is_usage_error(self, argv):
+        proc = run_python("-m", "pascalfib.cli", *argv, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: modulus {argv[-1]} exceeds the limit 2^31 - 1\n"
+
+    def test_largest_prime_below_2_31_accepted(self, capsys):
+        assert run(capsys, "fib", "entry-point", "2147483647")[:2] == (0, "2147483648\n")
 
 
 class TestVerifyCommand:
@@ -223,9 +255,11 @@ class TestVerifyCommand:
         _, threaded, _ = run(capsys, *args, "--threads", "4")
         assert sequential == threaded
 
+    def test_threads_below_one_rejected(self, capsys):
+        assert run(capsys, "verify", "--laws", "mod2", "--threads", "0") == (
+            2, "", "error: threads must be at least 1\n")
+
     def test_walked_powers_threads_match_sequential(self, capsys):
-        # Two threads split each e range between them, so each walks only
-        # part of it; the report must not change.
         args = ("verify", "--laws", "left-closed-form,fib-recurrence,row-propagation",
                 "--n", "2..6", "--e=-3..9", "--format", "json")
         _, sequential, _ = run(capsys, *args)
@@ -288,6 +322,7 @@ class TestVerifyCommand:
         ('{"laws": ["mod2"], "fail_fast": "no"}', "'fail_fast' must be true or false"),
         ('{"laws": ["left-order"], "primes": [2.0]}', "'primes' must be a list of integers"),
         ('{"laws": ["mod2"], "threads": true}', "'threads' must be an integer"),
+        ('{"laws": ["mod2"], "threads": 0}', "threads must be at least 1"),
         ('{"laws": [2]}', "'laws' must be a list of law id strings"),
     ])
     def test_malformed_config_is_usage_error(self, capsys, tmp_path, text, message):
@@ -398,14 +433,18 @@ class TestGoldenCampaign:
 
 
 class TestImportCost:
+    # concurrent.futures brings in logging, traceback and string, and
+    # every CLI process imports cli; no campaign needs it.
     def test_cli_import_loads_no_thread_pool(self):
-        # concurrent.futures brings in logging, traceback and string;
-        # only a --threads pool needs it, and every CLI process imports cli.
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         probe = "import sys, pascalfib.cli; print('concurrent.futures' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-        assert out == "False\n"
+        assert run_python("-c", probe).stdout == "False\n"
+
+    def test_threaded_campaign_loads_no_thread_pool(self):
+        probe = ("import sys, pascalfib.cli as cli; code = cli.main(sys.argv[1:]); "
+                 "print(code, 'concurrent.futures' in sys.modules, file=sys.stderr)")
+        proc = run_python("-c", probe, "verify", "--laws", "scalar-power", "--n", "2..4",
+                          "--primes", "7,13", "--threads", "2")
+        assert proc.stderr == "0 False\n"
 
 
 def _cell_failure(monkeypatch, verifier):

@@ -17,6 +17,7 @@ from pascalfib.core import (
     modmat_mul,
     modmat_pow,
     prime_factors,
+    strip_prime_factors,
     unimodular_inverse,
 )
 from pascalfib.pascal import build_left, build_right
@@ -320,6 +321,21 @@ class TestPrimeFactors:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             prime_factors(0)
+
+
+class TestStripPrimeFactors:
+    @given(st.integers(1, 3000), st.data())
+    def test_finds_the_least_divisor_that_holds(self, bound, data):
+        divisors = [d for d in range(1, bound + 1) if bound % d == 0]
+        d = data.draw(st.sampled_from(divisors))
+        assert strip_prime_factors(bound, lambda k: k % d == 0) == d
+
+    def test_call_order(self):
+        # 12 = 2^2 * 3 with the least holding divisor 3: strip 2 while
+        # 6 and 3 hold, then try 3 once more at 1.
+        calls = []
+        assert strip_prime_factors(12, lambda k: calls.append(k) or k % 3 == 0) == 3
+        assert calls == [6, 3, 1]
 
 
 class TestDet:

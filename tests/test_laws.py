@@ -358,8 +358,8 @@ class TestCampaignPowerCounts:
         assert (pows[0], muls[0]) == (1, 9)
 
     def test_thread_pool_walks_as_the_serial_run_does(self, monkeypatch):
-        # One pool task per (law, n), so each n walks e 1..10 in one
-        # thread: 1 mat_pow per n with or without the pool.
+        # --threads 2 runs the same loop, so each n walks e 1..10 with
+        # 1 mat_pow either way.
         pows = _count_calls(monkeypatch, laws, "mat_pow")
         serial = cli.CampaignConfig(("fib-recurrence",), n_range=(2, 4), e_range=(1, 10))
         pooled = cli.CampaignConfig(("fib-recurrence",), n_range=(2, 4), e_range=(1, 10),
