@@ -134,8 +134,6 @@ def _to_csv(payload: dict[str, Any]) -> str:
         return ",".join(payload["coeffs"]) + "\n"
     if obj == "integer":
         return payload["value"] + "\n"
-    if obj == "pair":
-        return f"{payload['first']},{payload['second']}\n"
     if obj == "campaign":
         lines = ["law,n,e,p,verdict,witness\n"]
         for check in payload["checks"]:
@@ -173,8 +171,6 @@ def _to_plain(payload: dict[str, Any]) -> str:
         return payload["text"] + "\n"
     if obj == "integer":
         return payload["value"] + "\n"
-    if obj == "pair":
-        return f"{payload['first']} {payload['second']}\n"
     if obj == "campaign":
         lines = []
         for check in payload["checks"]:
@@ -222,7 +218,8 @@ def order_report_payload(report: modorder.OrderReport) -> dict[str, Any]:
 
 
 def _check_modulus(m: int) -> None:
-    # Entry points and orders factor p -/+ 1 by trial division, too slow past MAX_P.
+    # Entry points and periods factor m and a multiple of its period, and
+    # orders factor p -/+ 1, all by trial division, too slow past MAX_P.
     if m > MAX_P:
         raise UsageError(f"modulus {m} exceeds the limit 2^31 - 1")
 

@@ -8,24 +8,20 @@ Modular values never go through exact ones: fib_pair_mod reduces
 modulo m at every doubling step.
 
 Two modular quantities drive everything downstream: the entry point of
-a modulus m (the least k > 0 with m | F_k, also called the rank of
-apparition) and the Pisano period (the least k > 0 with F_k = 0 and
-F_{k+1} = 1 mod m). For a prime p other than 2 and 5 both come from
-fast doubling in O(sqrt(p)) steps at most:
-
-* entry point: F_N = 0 mod p is confirmed for N = p - (5|p), then
-  prime factors q are stripped from N while F_{N/q} stays 0 mod p.
-  p | F_k exactly when the entry point divides k, so what is left is
-  the entry point. Should the confirmation fail, the forward scan
-  answers instead, which keeps the Bloom-Wall check a real test.
-* Pisano period: pi(p) = e * ord_p(F_{e+1}) (Vinson 1963), with the
-  multiplicative order found by factor removal over p - 1 (Fermat), so
-  the period is not derived from the Bloom-Wall bound it is checked
-  against.
-
-Composite moduli and p = 2, 5 use forward iteration with the classical
-6m period bound as a hard safety stop. Both quantities are memoized
-per modulus since verification campaigns query them repeatedly.
+a modulus m (the least k > 0 with m | F_k, the rank of apparition) and
+the Pisano period (the least k > 0 with (F_k, F_{k+1}) = (0, 1) mod m).
+Every modulus takes one path. Wall's bounds (Wall 1960) give a multiple
+B of the period: the lcm over the prime powers q^k || m of
+q^(k-1) * b(q), where b(q) is q - 1 for q = +-1 mod 5, 2(q + 1) for
+q = +-2 mod 5, 3 for q = 2 and 20 for q = 5. Fast doubling confirms
+(F_B, F_{B+1}) = (0, 1) mod m. The pair is (0, 1) at k exactly when the
+period divides k, and F_k = 0 exactly when the entry point does, so
+stripping prime factors from B while the pair holds leaves the period,
+and stripping them from the period while F_k = 0 leaves the entry
+point. Should the confirmation fail, one forward scan answers instead,
+with the classical 6m period bound as a hard stop, so the Bloom-Wall
+and period-exactness checks still test the bounds B is built from.
+Both quantities are memoized per modulus.
 
 Also here: the Bloom-Wall divisibility checks, the period-exactness
 corollary, the Hardy-Wright binomial formula for F_j, and the Cassini /
@@ -36,8 +32,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from math import lcm
 
-from .core import is_prime, strip_prime_factors
+from .core import is_prime, prime_factors, strip_prime_factors
 from .pascal import binomial
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
@@ -113,11 +110,7 @@ def fib_mod_data(m: int) -> FibModData:
     with _mod_data_lock:
         data = _mod_data.get(m)
         if data is None:
-            if m in (2, 5) or not is_prime(m):
-                data = FibModData(m, _entry_point_scan(m), _pisano_scan(m))
-            else:
-                e = _entry_point_prime(m)
-                data = FibModData(m, e, _pisano_prime(m, e))
+            data = FibModData(m, *_entry_point_and_period(m))
             _mod_data[m] = data
     return data
 
@@ -132,40 +125,36 @@ def pisano_period(m: int) -> int:
     return fib_mod_data(m).pisano_period
 
 
-def _bloom_wall_multiple(p: int) -> int:
-    """p - (5|p): the multiple of the entry point that Bloom-Wall predicts."""
-    return p - 1 if p % 5 in (1, 4) else p + 1
+def _period_multiple(m: int) -> int:
+    """Wall's multiple of the Pisano period of m (see the module docstring)."""
+    multiple = 1
+    for q in prime_factors(m):
+        power = q  # q^k, the largest power of q dividing m
+        while m % (power * q) == 0:
+            power *= q
+        b = {2: 3, 5: 20}.get(q, q - 1 if q % 5 in (1, 4) else 2 * (q + 1))
+        multiple = lcm(multiple, power // q * b)
+    return multiple
 
 
-def _entry_point_prime(p: int) -> int:
-    n = _bloom_wall_multiple(p)
-    if fib_pair_mod(n, p)[0] != 0:
-        return _entry_point_scan(p)
-    return strip_prime_factors(n, lambda k: fib_pair_mod(k, p)[0] == 0)
+def _entry_point_and_period(m: int) -> tuple[int, int]:
+    multiple = _period_multiple(m)
+    if fib_pair_mod(multiple, m) != (0, 1):
+        return _scan(m)
+    period = strip_prime_factors(multiple, lambda k: fib_pair_mod(k, m) == (0, 1))
+    return strip_prime_factors(period, lambda k: fib_pair_mod(k, m)[0] == 0), period
 
 
-def _pisano_prime(p: int, e: int) -> int:
-    # (F_e, F_{e+1}) = (0, s), so the sequence restarts scaled by s
-    # every e steps and returns to (0, 1) after e * ord_p(s) steps.
-    s = fib_pair_mod(e, p)[1]
-    return e * strip_prime_factors(p - 1, lambda k: pow(s, k, p) == 1)
-
-
-def _entry_point_scan(m: int) -> int:
+def _scan(m: int) -> tuple[int, int]:
+    """(entry point, period) by forward iteration."""
     a, b = 0, 1
+    entry = 0
     for k in range(1, 6 * m + 1):
         a, b = b, (a + b) % m
         if a == 0:
-            return k
-    raise ArithmeticError(f"no Fibonacci zero modulo {m} within 6m steps")
-
-
-def _pisano_scan(m: int) -> int:
-    a, b = 0, 1
-    for k in range(1, 6 * m + 1):
-        a, b = b, (a + b) % m
-        if a == 0 and b == 1:
-            return k
+            entry = entry or k
+            if b == 1:
+                return entry, k
     raise ArithmeticError(f"Fibonacci period modulo {m} exceeds the 6m bound")
 
 

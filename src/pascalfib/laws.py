@@ -5,8 +5,9 @@ Every verifier takes its power matrix from `power`, which computes it
 with core.mat_mul and core.mat_pow only, and compares the law's
 prediction against it, so the law under test shares no code with its
 oracle beyond plain matrix multiplication. A campaign asks for R_n**e
-with e rising by one, so `power` keeps the last power it returned in
-each thread and steps it up with one multiply instead of starting
+with e rising by one, or for one R_n**e from several laws in a row, so
+`power` keeps the last power it returned in each thread, hands it back
+when asked again and steps it up with one multiply instead of starting
 again; it holds no other power. All comparisons are integer
 equalities; reports carry every failing cell as an (i, j, lhs, rhs)
 witness, in row-major order.
@@ -52,14 +53,17 @@ def power(base: ExactMatrix, e: int) -> ExactMatrix:
     """base**e, for any e that core.mat_pow accepts.
 
     If this thread's previous call was for the same base object and
-    e - 1, the result is that power times base: one multiply, and no
-    inverse for negative e. Otherwise it is core.mat_pow(base, e). The
-    build_left/build_right memos hand out one object per n, so a walk
-    along e keeps its base. Only the last result is held, one matrix
-    per thread.
+    the same e, the result is the power it returned then; for e - 1 it
+    is that power times base: one multiply, and no inverse for negative
+    e. Otherwise it is core.mat_pow(base, e). The build_left/build_right
+    memos hand out one object per n, so a walk along e, or several laws
+    at one (n, e), keep their base. Only the last result is held, one
+    matrix per thread.
     """
-    last = getattr(_last, "power", None)
-    if last is not None and last[0] is base and last[1] == e - 1:
+    last = getattr(_last, "power", (None, None, None))
+    if last[0] is base and last[1] == e:
+        return last[2]
+    if last[0] is base and last[1] == e - 1:
         result = mat_mul(last[2], base)
     else:
         result = mat_pow(base, e)

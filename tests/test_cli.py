@@ -184,6 +184,14 @@ class TestModulusLimit:
     def test_largest_prime_below_2_31_accepted(self, capsys):
         assert run(capsys, "fib", "entry-point", "2147483647")[:2] == (0, "2147483648\n")
 
+    # 2 * 1073741783, a prime = 3 mod 5: a composite with a large prime
+    # factor, answered by factor removal rather than a scan of 6m steps.
+    @pytest.mark.parametrize("command, value", [("period", "2147483568"),
+                                                ("entry-point", "1073741784")])
+    def test_composite_below_2_31_answers(self, command, value):
+        proc = run_python("-m", "pascalfib.cli", "fib", command, "2147483566", timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, value + "\n", "")
+
 
 class TestVerifyCommand:
     def test_mod2_campaign(self, capsys):

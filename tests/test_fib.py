@@ -1,4 +1,5 @@
 import importlib
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from oracles import entry_point_naive, fib_naive, pisano_naive, primes_below
 PRIMES_UNDER_100 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 PRIMES_UNDER_10K = primes_below(10_000)
+PRIME_POWERS = tuple(sorted(q**k for q in PRIMES_UNDER_100 for k in range(2, 14)
+                            if q**k < 10_000))
 
 # `pascalfib.fib` the attribute is the function; the module is in sys.modules.
 fib_module = importlib.import_module("pascalfib.fib")
@@ -117,28 +120,55 @@ class TestEntryPointAndPeriod:
         assert entry_point(p) == entry_point_naive(p)
         assert pisano_period(p) == pisano_naive(p)
 
-    def test_primes_skip_the_scans(self, monkeypatch):
+    def test_no_modulus_scans(self, monkeypatch):
         def no_scan(m):
             raise AssertionError(f"scanned modulo {m}")
         monkeypatch.setattr(fib_module, "_mod_data", {})
-        monkeypatch.setattr(fib_module, "_entry_point_scan", no_scan)
-        monkeypatch.setattr(fib_module, "_pisano_scan", no_scan)
+        monkeypatch.setattr(fib_module, "_scan", no_scan)
+        for m in (2, 5, 4, 9, 25, 27, 121, 3125, 2**20, 60, 1000,
+                  2 * 4157, 5 * 4157, 2 * 3 * 5 * 7 * 11 * 13):
+            assert fib_mod_data(m) == fib_module.FibModData(
+                m, entry_point_naive(m), pisano_naive(m)), m
         assert fib_mod_data(4157) == fib_module.FibModData(4157, 297, 1188)
         # 2^31 - 1 = 2 mod 5 has entry point p + 1 = 2^31 and period 2(p + 1).
         assert fib_mod_data(2**31 - 1) == fib_module.FibModData(2**31 - 1, 2**31, 2**32)
+        # 2 * 1073741783, a prime = 3 mod 5; values confirmed by 2x2 matrix powers.
+        assert fib_mod_data(2147483566) == fib_module.FibModData(
+            2147483566, 1073741784, 2147483568)
 
     def test_entry_point_falls_back_to_scan(self, monkeypatch):
-        # F_p = (5|p) mod p is never 0 for p != 5, so starting from p
-        # fails the F_N = 0 confirmation and the scan must answer.
+        # F_p = (5|p) mod p is never 0 for p != 5, so a multiple of p
+        # fails the (F_B, F_{B+1}) = (0, 1) confirmation and the scan
+        # must answer.
         scanned = []
-        scan = fib_module._entry_point_scan
+        scan = fib_module._scan
         monkeypatch.setattr(fib_module, "_mod_data", {})
-        monkeypatch.setattr(fib_module, "_bloom_wall_multiple", lambda p: p)
-        monkeypatch.setattr(fib_module, "_entry_point_scan",
-                            lambda m: scanned.append(m) or scan(m))
+        monkeypatch.setattr(fib_module, "_period_multiple", lambda m: m)
+        monkeypatch.setattr(fib_module, "_scan", lambda m: scanned.append(m) or scan(m))
         assert entry_point(4157) == 297
         assert pisano_period(4157) == pisano_naive(4157)
         assert scanned == [4157]
+
+    def test_every_modulus_below_1500_matches_scans(self):
+        for m in range(2, 1500):
+            assert (entry_point(m), pisano_period(m)) == (
+                entry_point_naive(m), pisano_naive(m)), m
+
+    def test_prime_powers_match_scans(self):
+        for m in PRIME_POWERS:
+            assert (entry_point(m), pisano_period(m)) == (
+                entry_point_naive(m), pisano_naive(m)), m
+
+    @settings(max_examples=200)
+    @given(st.one_of(
+        st.builds(operator.mul, st.integers(2, 150), st.integers(2, 150)),
+        st.builds(operator.mul, st.sampled_from(PRIME_POWERS), st.integers(1, 12)),
+        st.builds(operator.mul, st.sampled_from((2, 4, 5, 10, 20, 25, 50)),
+                  st.integers(1, 500)),
+    ))
+    def test_composites_match_scans(self, m):
+        assert (entry_point(m), pisano_period(m)) == (
+            entry_point_naive(m), pisano_naive(m))
 
     def test_memoization_returns_same_object(self):
         assert fib_mod_data(37) is fib_mod_data(37)

@@ -357,6 +357,18 @@ class TestCampaignPowerCounts:
         assert report["summary"] == {"pass": 10, "fail": 0}
         assert (pows[0], muls[0]) == (1, 9)
 
+    def test_cell_laws_share_one_power(self, monkeypatch):
+        # Three cell laws at one (n, e) ask for R_5**7 in a row: the
+        # first computes it, the other two get the held matrix.
+        pows = _count_calls(monkeypatch, laws, "mat_pow")
+        muls = _count_calls(monkeypatch, laws, "mat_mul")
+        cfg = cli.CampaignConfig(
+            ("fib-recurrence", "border-formulas", "row-propagation"),
+            n_range=(5, 5), e_range=(7, 7))
+        [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+        assert report["summary"] == {"pass": 3, "fail": 0}
+        assert (pows[0], muls[0]) == (1, 0)
+
     def test_thread_pool_walks_as_the_serial_run_does(self, monkeypatch):
         # --threads 2 runs the same loop, so each n walks e 1..10 with
         # 1 mat_pow either way.
