@@ -20,8 +20,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import laws, modorder, spectra
 from .core import (
@@ -331,8 +330,7 @@ def cmd_order(args: argparse.Namespace) -> int:
 # verify subcommand: campaign configuration and law registry
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class _CampaignFields(NamedTuple):
     laws: tuple[str, ...]
     n_range: tuple[int, int] = (2, 10)
     e_range: tuple[int, int] = (1, 10)
@@ -341,31 +339,37 @@ class CampaignConfig:
     fail_fast: bool = False
     threads: int = 1  # validated, and reserved for a process pool; unused
 
-    def __post_init__(self) -> None:
+
+class CampaignConfig(_CampaignFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "CampaignConfig":
+        cfg = super().__new__(cls, *args, **kwargs)
         # A repeated law id or prime names the same checks again; keep the
         # first occurrence so the report does not depend on the spelling.
-        object.__setattr__(self, "laws", tuple(dict.fromkeys(self.laws)))
-        object.__setattr__(self, "primes", tuple(dict.fromkeys(self.primes)))
-        unknown = [law for law in self.laws if law not in LAW_REGISTRY]
+        cfg = cfg._replace(laws=tuple(dict.fromkeys(cfg.laws)),
+                           primes=tuple(dict.fromkeys(cfg.primes)))
+        unknown = [law for law in cfg.laws if law not in LAW_REGISTRY]
         if unknown:
             raise UsageError(f"unknown law id(s): {', '.join(unknown)}")
-        if not self.laws:
+        if not cfg.laws:
             raise UsageError("at least one law id is required")
-        lo, hi = self.n_range
+        lo, hi = cfg.n_range
         if lo > hi or lo < 1 or hi > MAX_N:
             raise UsageError(f"n range must be nonempty within 1..{MAX_N}")
-        lo, hi = self.e_range
+        lo, hi = cfg.e_range
         if lo > hi or abs(lo) > MAX_E or abs(hi) > MAX_E:
             raise UsageError(f"e range must be nonempty within -{MAX_E}..{MAX_E}")
-        if not self.primes:
+        if not cfg.primes:
             raise UsageError("prime list must be nonempty")
-        for p in self.primes:
+        for p in cfg.primes:
             if p > MAX_P or not is_prime(p):
                 raise UsageError(f"invalid prime {p} (must be prime, < 2^31)")
-        if self.output_format not in ("json", "csv", "plain"):
-            raise UsageError(f"unknown output format {self.output_format!r}")
-        if self.threads < 1:
+        if cfg.output_format not in ("json", "csv", "plain"):
+            raise UsageError(f"unknown output format {cfg.output_format!r}")
+        if cfg.threads < 1:
             raise UsageError("threads must be at least 1")
+        return cfg
 
 
 Check = dict[str, Any]
@@ -373,8 +377,7 @@ Verdict = tuple[str, dict[str, Any] | None]
 Job = tuple[str, dict[str, int]]
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(NamedTuple):
     """One campaign law. `axes` lists its grid axes in params order ("n",
     "ne", "np", "p" or "e"); n and e start no lower than `n_lo`/`e_lo`, and
     p takes each requested prime. `check(**params)` returns the verdict and
@@ -523,10 +526,23 @@ def _sort_key(check: Check) -> tuple:
     return (check["law"], params.get("n", 0), params.get("e", 0), params.get("p", 0))
 
 
+def _point(job: Job) -> tuple[int, int]:
+    params = job[1]
+    return params.get("n", 0), params.get("e", 0)
+
+
 def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
-    """Execute every requested law over its grid, in order on the calling
-    thread (a thread pool measured slower); deterministic report."""
+    """Execute every requested law over its grid on the calling thread (a
+    thread pool measured slower); deterministic report.
+
+    The jobs run grid point by grid point, in request order within a
+    point, so the laws at one (n, e) share the powers `laws.power` holds.
+    Under fail-fast they run in request order, because the partial
+    report depends on which checks ran before the first failure.
+    """
     jobs = [job for name in cfg.laws for job in _grid(name, cfg)]
+    if not cfg.fail_fast:
+        jobs.sort(key=_point)
     checks: list[Check] = []
     for job in jobs:
         check = _run(job)
@@ -692,6 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Exact values print in full: F_20578 alone has 4301 digits, past
+        # the interpreter's default cap on int-to-string conversion.
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(_glue_negative_ranges(
         sys.argv[1:] if argv is None else argv))

@@ -13,13 +13,19 @@ over the integers; the final auxiliary matrix of that recursion is the
 adjugate up to sign, which hands us the exact integer inverse of a
 unimodular matrix for free.
 
+The value types are `typing.NamedTuple` records, not dataclasses, so a
+fresh process does not import `dataclasses` (and with it `inspect`,
+`ast` and `dis`). Each one's `__new__` validates, and none concatenates
+or repeats like a tuple: `+`, and `*` with an int, raise TypeError.
+
 Validation happens at the API edge. The public constructors (the
-dataclasses themselves, `from_rows`, `from_fn`, `identity`, `zero`,
+classes themselves, `from_rows`, `from_fn`, `identity`, `zero`,
 `scalar`) and `mat_mod` check the shape, that entries are ints, and for
 `ModMatrix` that entries are residues and the modulus is prime, by
 Miller-Rabin. Products, sums, scalings and powers of matrices that were
 already validated are built through the trusted constructors `_exact`
-and `_mod`, which check nothing, so a product costs only its arithmetic.
+and `_mod` (plain `tuple.__new__`), which check nothing, so a product
+costs only its arithmetic.
 
 The modular product uses Kronecker substitution: each row of the right
 factor is packed into one Python int, so a row of the product is n
@@ -33,8 +39,7 @@ instances may be shared freely across threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -91,20 +96,26 @@ def strip_prime_factors(bound: int, holds: Callable[[int], bool]) -> int:
     return bound
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable square matrix of arbitrary-precision integers."""
-
+class _ExactFields(NamedTuple):
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class ExactMatrix(_ExactFields):
+    """Immutable square matrix of arbitrary-precision integers."""
+
+    __slots__ = ()
+    # A value, not a sequence: no tuple concatenation or repetition.
+    __add__ = __mul__ = __rmul__ = None
+
+    def __new__(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "ExactMatrix":
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if len(self.rows) != self.n or any(len(row) != self.n for row in self.rows):
-            raise ValueError(f"entries do not form an {self.n}x{self.n} square")
-        if any(not isinstance(x, int) for row in self.rows for x in row):
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"entries do not form an {n}x{n} square")
+        if any(not isinstance(x, int) for row in rows for x in row):
             raise ValueError("entries must be exact integers")
+        return tuple.__new__(cls, (n, rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ExactMatrix":
@@ -138,24 +149,28 @@ class ExactMatrix:
         return [list(row) for row in self.rows]
 
 
-@dataclass(frozen=True)
-class ModMatrix:
-    """Immutable square matrix of residues modulo a prime p."""
-
+class _ModFields(NamedTuple):
     n: int
     p: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class ModMatrix(_ModFields):
+    """Immutable square matrix of residues modulo a prime p."""
+
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None
+
+    def __new__(cls, n: int, p: int, rows: tuple[tuple[int, ...], ...]) -> "ModMatrix":
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if len(self.rows) != self.n or any(len(row) != self.n for row in self.rows):
-            raise ValueError(f"entries do not form an {self.n}x{self.n} square")
-        if any(not isinstance(x, int) or not 0 <= x < self.p
-               for row in self.rows for x in row):
-            raise ValueError(f"entries must be residues in [0, {self.p})")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"entries do not form an {n}x{n} square")
+        if any(not isinstance(x, int) or not 0 <= x < p for row in rows for x in row):
+            raise ValueError(f"entries must be residues in [0, {p})")
+        return tuple.__new__(cls, (n, p, rows))
 
     @classmethod
     def identity(cls, n: int, p: int) -> "ModMatrix":
@@ -179,23 +194,19 @@ class ModMatrix:
 
 def _exact(n: int, rows: tuple[tuple[int, ...], ...]) -> ExactMatrix:
     """ExactMatrix from rows already known to be an n x n grid of ints."""
-    m = object.__new__(ExactMatrix)
-    object.__setattr__(m, "n", n)
-    object.__setattr__(m, "rows", rows)
-    return m
+    return tuple.__new__(ExactMatrix, (n, rows))
 
 
 def _mod(n: int, p: int, rows: tuple[tuple[int, ...], ...]) -> ModMatrix:
     """ModMatrix from rows already known to be n x n residues mod the prime p."""
-    m = object.__new__(ModMatrix)
-    object.__setattr__(m, "n", n)
-    object.__setattr__(m, "p", p)
-    object.__setattr__(m, "rows", rows)
-    return m
+    return tuple.__new__(ModMatrix, (n, p, rows))
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class _PolynomialFields(NamedTuple):
+    coeffs: tuple[int, ...]
+
+
+class IntPolynomial(_PolynomialFields):
     """Dense integer polynomial: coeffs[k] multiplies x**k.
 
     Trailing zero coefficients are stripped at construction, so the
@@ -203,15 +214,18 @@ class IntPolynomial:
     (represented by an empty coefficient tuple).
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+    # __mul__ below multiplies polynomials; no tuple concatenation or
+    # repetition by an int.
+    __add__ = __rmul__ = None
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __new__(cls, coeffs: Iterable[int]) -> "IntPolynomial":
+        coeffs = tuple(coeffs)
         if any(not isinstance(c, int) for c in coeffs):
             raise ValueError("coefficients must be exact integers")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(cls, (coeffs,))
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":

@@ -31,8 +31,8 @@ sum-of-squares identities, all verified in exact integer arithmetic.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .core import is_prime, prime_factors, strip_prime_factors
 from .pascal import binomial
@@ -90,8 +90,7 @@ def fib_pair_mod(k: int, m: int) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
-class FibModData:
+class FibModData(NamedTuple):
     """Entry point and Pisano period of the Fibonacci sequence mod m."""
 
     m: int
@@ -158,8 +157,7 @@ def _scan(m: int) -> tuple[int, int]:
     raise ArithmeticError(f"Fibonacci period modulo {m} exceeds the 6m bound")
 
 
-@dataclass(frozen=True)
-class BloomWallReport:
+class BloomWallReport(NamedTuple):
     """Divisibility checks on the entry point and period of a prime.
 
     The residues 1, 4 mod 5 form one class (often written +-1) and the
@@ -212,8 +210,7 @@ def fib_via_binomials(j: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Exact pass/fail of the classical identities at one index."""
 
     e: int
@@ -233,8 +230,7 @@ def check_identities(e: int) -> IdentityReport:
     return IdentityReport(e, (("cassini", cassini), ("sum-of-squares", halving)))
 
 
-@dataclass(frozen=True)
-class PeriodExactnessReport:
+class PeriodExactnessReport(NamedTuple):
     """Outcome of the exact-period corollary at one prime.
 
     branch names which hypothesis applied: "entry-point-is-p-minus-1"

@@ -4,13 +4,15 @@ satisfied by powers of the column-justified Pascal matrix.
 Every verifier takes its power matrix from `power`, which computes it
 with core.mat_mul and core.mat_pow only, and compares the law's
 prediction against it, so the law under test shares no code with its
-oracle beyond plain matrix multiplication. A campaign asks for R_n**e
-with e rising by one, or for one R_n**e from several laws in a row, so
-`power` keeps the last power it returned in each thread, hands it back
-when asked again and steps it up with one multiply instead of starting
-again; it holds no other power. All comparisons are integer
-equalities; reports carry every failing cell as an (i, j, lhs, rhs)
-witness, in row-major order.
+oracle beyond plain matrix multiplication. A campaign runs its checks
+point by point, so at each (n, e) the cell laws ask for one R_n**e in
+a row, and left-closed-form asks for L_n**e between them; e rises by
+one from point to point. `power` therefore keeps, in each thread, the
+last power of each of the last two bases it was asked for, hands it
+back when asked again and steps it up with one multiply instead of
+starting again; it holds no other power, so at most two matrices per
+thread. All comparisons are integer equalities; reports carry every
+failing cell as an (i, j, lhs, rhs) witness, in row-major order.
 
 Index ranges: the square and cube recurrences come with stated ranges.
 The row-expansion and row-propagation laws do not, so their ranges were
@@ -23,15 +25,14 @@ the verifiers below pin the full grid.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ExactMatrix, mat_mul, mat_pow
 from .fib import fib
 from .pascal import binomial, build_right
 
 
-@dataclass(frozen=True)
-class CellLawReport:
+class CellLawReport(NamedTuple):
     """Outcome of checking one law over its declared index range."""
 
     law_id: str
@@ -45,29 +46,32 @@ class CellLawReport:
         return not self.failures
 
 
-# The (base, e, base**e) that `power` last returned in this thread.
-_last = threading.local()
+# The (base, e, base**e) that `power` last returned in this thread for
+# each of the last two bases it was asked for, most recent first.
+_held = threading.local()
 
 
 def power(base: ExactMatrix, e: int) -> ExactMatrix:
     """base**e, for any e that core.mat_pow accepts.
 
-    If this thread's previous call was for the same base object and
-    the same e, the result is the power it returned then; for e - 1 it
-    is that power times base: one multiply, and no inverse for negative
-    e. Otherwise it is core.mat_pow(base, e). The build_left/build_right
-    memos hand out one object per n, so a walk along e, or several laws
-    at one (n, e), keep their base. Only the last result is held, one
-    matrix per thread.
+    If this thread last returned a power of the same base object at e,
+    the result is that power again; at e - 1 it is that power times
+    base: one multiply, and no inverse for negative e. Otherwise it is
+    core.mat_pow(base, e). One power is held for each of the last two
+    bases, so a campaign that alternates L_n and R_n at each (n, e)
+    walks both along e; the build_left/build_right memos hand out one
+    object per n, so the walks keep their bases. At most two matrices
+    are held per thread.
     """
-    last = getattr(_last, "power", (None, None, None))
-    if last[0] is base and last[1] == e:
-        return last[2]
-    if last[0] is base and last[1] == e - 1:
+    held = getattr(_held, "powers", ())
+    last = next((h for h in held if h[0] is base), None)
+    if last is not None and last[1] == e:
+        result = last[2]
+    elif last is not None and last[1] == e - 1:
         result = mat_mul(last[2], base)
     else:
         result = mat_pow(base, e)
-    _last.power = (base, e, result)
+    _held.powers = ((base, e, result),) + tuple(h for h in held if h[0] is not base)[:1]
     return result
 
 
@@ -159,15 +163,17 @@ def verify_border_formulas(n: int, e: int) -> CellLawReport:
         raise ValueError("exponent must be positive")
     rows = _right_power(n, e).rows
     f_prev, f_cur = fib(e - 1), fib(e)
+    prev_pows = [f_prev ** k for k in range(n)]
+    cur_pows = [f_cur ** k for k in range(n)]
     failures = []
     for j in range(n):
         lhs = rows[0][j]
-        rhs = binomial(n - 1, j) * f_prev ** (n - 1 - j) * f_cur ** j
+        rhs = binomial(n - 1, j) * prev_pows[n - 1 - j] * cur_pows[j]
         if lhs != rhs:
             failures.append((1, j + 1, lhs, rhs))
     for i in range(n):
         lhs = rows[i][0]
-        rhs = f_prev ** (n - 1 - i) * f_cur ** i
+        rhs = prev_pows[n - 1 - i] * cur_pows[i]
         if lhs != rhs:
             failures.append((i + 1, 1, lhs, rhs))
     return CellLawReport("border-formulas", n, e, 2 * n, tuple(failures))
@@ -183,6 +189,11 @@ def verify_row_expansion_23(n: int) -> CellLawReport:
     failure-free; j = 1 is the empty-sum base case). Failing cells are
     recorded at the predicted position (i+1, j), the b cell before the
     c cell.
+
+    Both sums are carried along the row. Writing S_j and T_j for the b
+    and c sums at column j, S_1 = T_1 = 0, S_{j+1} = -S_j - b[i][j] and
+    T_{j+1} = -2 T_j - c[i][j], so a check takes O(n**2) steps instead
+    of O(n**3).
     """
     if n < 2:
         raise ValueError("expansion range is empty for n < 2")
@@ -191,16 +202,18 @@ def verify_row_expansion_23(n: int) -> CellLawReport:
     failures = []
     for i in range(n - 1):
         b_row, b_down, c_row, c_down = b[i], b[i + 1], c[i], c[i + 1]
+        b_sum = c_sum = 0
         for j in range(n):
             lhs = b_down[j]
-            rhs = b_row[j] - sum((-1) ** k * b_row[j - k] for k in range(1, j + 1))
+            rhs = b_row[j] - b_sum
             if lhs != rhs:
                 failures.append((i + 2, j + 1, lhs, rhs))
             lhs = c_down[j]
-            rhs = 2 * c_row[j] + sum((-1) ** k * 2 ** (k - 1) * c_row[j - k]
-                                     for k in range(1, j + 1))
+            rhs = 2 * c_row[j] + c_sum
             if lhs != rhs:
                 failures.append((i + 2, j + 1, lhs, rhs))
+            b_sum = -b_sum - b_row[j]
+            c_sum = -2 * c_sum - c_row[j]
     return CellLawReport("row-expansion-23", n, None, 2 * (n - 1) * n, tuple(failures))
 
 

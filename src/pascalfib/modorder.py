@@ -36,7 +36,6 @@ and surface as hypothesis-not-met rather than failures:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import ModMatrix, is_prime, mat_mod, modmat_mul, strip_prime_factors
@@ -45,16 +44,14 @@ from .pascal import build_left, build_right, left_power_entry
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Verdict for one named theorem check, with its computed scalars."""
 
     verdict: str
-    values: dict[str, int] = field(default_factory=dict)
+    values: dict[str, int]
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Theorem checks for one (kind, n, p). order is None when the
     theorem's annihilating exponent turned out not to annihilate, so no
     order was searched for."""
@@ -179,7 +176,7 @@ def verify_left_order(n: int, p: int) -> OrderReport:
     checks = {
         "order-equals-p": CheckResult(PASS if order == p else FAIL,
                                       {"order": order}),
-        "closed-form-offdiagonal": CheckResult(PASS if offdiag else FAIL),
+        "closed-form-offdiagonal": CheckResult(PASS if offdiag else FAIL, {}),
     }
     return OrderReport("left", n, p, order, p, checks)
 
@@ -268,7 +265,7 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
             {"scalar": refined}),
         # The order search found R_n**(4e) = I exactly when it found an order.
         "fourth-power-identity": CheckResult(
-            PASS if facts.order is not None else FAIL),
+            PASS if facts.order is not None else FAIL, {}),
     }
     return OrderReport("right", n, p, facts.order, 4 * e, checks)
 
@@ -279,10 +276,10 @@ def verify_pminus1(n: int, p: int) -> OrderReport:
     if facts.order is None:
         return _fourth_power_failure(n, p, facts.e)
     if fib_pair_mod(p - 1, p)[0] != 0:
-        checks = {"p-minus-1-identity": CheckResult(HYPOTHESIS_NOT_MET)}
+        checks = {"p-minus-1-identity": CheckResult(HYPOTHESIS_NOT_MET, {})}
     else:
         checks = {"p-minus-1-identity": CheckResult(
-            PASS if facts.pminus1_identity else FAIL)}
+            PASS if facts.pminus1_identity else FAIL, {})}
     return OrderReport("right", n, p, facts.order, 4 * facts.e, checks)
 
 
@@ -292,7 +289,7 @@ def verify_pplus1(n: int, p: int) -> OrderReport:
     if facts.order is None:
         return _fourth_power_failure(n, p, facts.e)
     if fib_pair_mod(p + 1, p)[0] != 0:
-        checks = {"p-plus-1-identity": CheckResult(HYPOTHESIS_NOT_MET)}
+        checks = {"p-plus-1-identity": CheckResult(HYPOTHESIS_NOT_MET, {})}
     else:
         scalar = 1 if n % 2 == 1 else (p - 1) % p
         checks = {"p-plus-1-identity": CheckResult(

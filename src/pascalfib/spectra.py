@@ -19,7 +19,7 @@ approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import IntPolynomial, charpoly
 from .fib import lucas
@@ -27,8 +27,7 @@ from .pascal import build_right
 from .report import FAIL, PASS
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     n: int
     parity: str
     computed_charpoly: IntPolynomial

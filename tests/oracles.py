@@ -213,7 +213,7 @@ def verify_left_order_slow(n: int, p: int) -> OrderReport:
                   for i in range(1, n + 1) for j in range(1, i))
     return OrderReport("left", n, p, order, p, {
         "order-equals-p": CheckResult(PASS if order == p else FAIL, {"order": order}),
-        "closed-form-offdiagonal": CheckResult(PASS if offdiag else FAIL),
+        "closed-form-offdiagonal": CheckResult(PASS if offdiag else FAIL, {}),
     })
 
 
@@ -249,21 +249,21 @@ def right_order_reports_slow(n: int, p: int, e: int | None = None) -> dict[str, 
             {"entry_point": e, "scalar": generic}),
         refined_id: CheckResult(
             PASS if re == ModMatrix.scalar(n, p, refined) else FAIL, {"scalar": refined}),
-        "fourth-power-identity": CheckResult(PASS if order is not None else FAIL),
+        "fourth-power-identity": CheckResult(PASS if order is not None else FAIL, {}),
     })}
     if order is None:
         return {**reports, "p-minus-1": failure, "p-plus-1": failure,
                 "order-bound": failure}
 
     if fib_naive(p - 1) % p:
-        pminus1 = CheckResult(HYPOTHESIS_NOT_MET)
+        pminus1 = CheckResult(HYPOTHESIS_NOT_MET, {})
     else:
         ok = modmat_pow_slow(rm, p - 1) == ModMatrix.identity(n, p)
-        pminus1 = CheckResult(PASS if ok else FAIL)
+        pminus1 = CheckResult(PASS if ok else FAIL, {})
     reports["p-minus-1"] = report({"p-minus-1-identity": pminus1})
 
     if fib_naive(p + 1) % p:
-        pplus1 = CheckResult(HYPOTHESIS_NOT_MET)
+        pplus1 = CheckResult(HYPOTHESIS_NOT_MET, {})
     else:
         scalar = 1 if n % 2 == 1 else (p - 1) % p
         ok = modmat_pow_slow(rm, p + 1) == ModMatrix.scalar(n, p, scalar)

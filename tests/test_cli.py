@@ -119,6 +119,19 @@ class TestMatrixCommand:
         assert exc.value.code == 2
 
 
+def _decimal(value: int) -> str:
+    """str(value) with the interpreter's int-to-string cap lifted, where it
+    has one."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(value)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 class TestFibCommand:
     def test_entry_point(self, capsys):
         assert run(capsys, "fib", "entry-point", "13")[:2] == (0, "7\n")
@@ -131,6 +144,21 @@ class TestFibCommand:
 
     def test_lucas(self, capsys):
         assert run(capsys, "fib", "lucas", "2")[:2] == (0, "3\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_value_past_the_int_string_cap(self, fmt):
+        # F_20578 has 4301 digits, one past the interpreter's default cap on
+        # int-to-string conversion; a fresh process starts with that cap.
+        proc = run_python("-m", "pascalfib.cli", "fib", "value", "20578", "--format", fmt)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        value = json.loads(proc.stdout)["value"] if fmt == "json" else proc.stdout[:-1]
+        assert value == _decimal(fib_module.fib(20578))
+        assert len(value) == 4301
+
+    def test_lucas_past_the_int_string_cap(self):
+        proc = run_python("-m", "pascalfib.cli", "fib", "lucas", "21000")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == _decimal(lucas(21000)) + "\n"
 
     def test_bloom_wall(self, capsys):
         code, out, _ = run(capsys, "fib", "bloom-wall", "13", "--format", "json")
@@ -357,6 +385,22 @@ class TestVerifyCommand:
         assert lines[1] == "mod2,2,,,pass,"
 
 
+FAIL_FAST_REPORT = """\
+PASS               border-formulas          n=2 e=1
+PASS               border-formulas          n=2 e=2
+PASS               border-formulas          n=2 e=3
+PASS               border-formulas          n=3 e=1
+FAIL               border-formulas          n=3 e=2  witness={"i":1,"j":2,"lhs":"2","rhs":"3","failing_cells":1}
+PASS               fib-recurrence           n=2 e=1
+PASS               fib-recurrence           n=2 e=2
+PASS               fib-recurrence           n=2 e=3
+PASS               fib-recurrence           n=3 e=1
+PASS               fib-recurrence           n=3 e=2
+PASS               fib-recurrence           n=3 e=3
+summary: pass=10 fail=1
+"""
+
+
 class TestExitCodeContract:
     def _inject_failing_law(self, monkeypatch):
         def check(n):
@@ -382,6 +426,19 @@ class TestExitCodeContract:
         # Stopped after the failure: the third check never ran.
         assert len(payload["checks"]) == 2
         assert payload["summary"]["fail"] == 1
+
+    def test_fail_fast_keeps_request_order(self, capsys, monkeypatch):
+        # border-formulas fails first at n = 3, e = 2. Run law by law, as
+        # requested, every fib-recurrence check comes before that; run
+        # point by point, fib-recurrence at (3, 3) would never run. The
+        # report below was recorded before campaigns ran point by point.
+        real = laws.binomial
+        monkeypatch.setattr(laws, "binomial", lambda n, k: real(n, k) + (n == 2 and k == 1))
+        code, out, err = run(capsys, "verify", "--laws", "fib-recurrence,border-formulas",
+                             "--n", "2..3", "--e", "1..3", "--fail-fast",
+                             "--format", "plain")
+        assert (code, err) == (1, "")
+        assert out == FAIL_FAST_REPORT
 
 
 class TestFalseFourthPowerTheorem:
@@ -446,6 +503,13 @@ class TestImportCost:
     def test_cli_import_loads_no_thread_pool(self):
         probe = "import sys, pascalfib.cli; print('concurrent.futures' in sys.modules)"
         assert run_python("-c", probe).stdout == "False\n"
+
+    def test_cli_import_loads_no_dataclasses(self):
+        # The value and report types are NamedTuples: no dataclasses import
+        # chain (inspect, ast, dis) in a fresh CLI process.
+        probe = ("import sys, pascalfib.cli; print(sorted(m for m in "
+                 "('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))")
+        assert run_python("-c", probe).stdout == "[]\n"
 
     def test_threaded_campaign_loads_no_thread_pool(self):
         probe = ("import sys, pascalfib.cli as cli; code = cli.main(sys.argv[1:]); "

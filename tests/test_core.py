@@ -125,6 +125,35 @@ class TestPublicConstructorsValidate:
             build()
 
 
+class TestValuesAreNotSequences:
+    """The NamedTuple value types neither concatenate nor repeat."""
+
+    VALUES = [R2, ModMatrix.identity(2, 7), IntPolynomial((1, 2))]
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_no_concatenation(self, value):
+        with pytest.raises(TypeError):
+            value + value
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_no_repetition_from_the_left(self, value):
+        with pytest.raises(TypeError):
+            2 * value
+
+    @pytest.mark.parametrize("value", VALUES[:2])
+    def test_no_repetition_from_the_right(self, value):
+        with pytest.raises(TypeError):
+            value * 2
+
+    def test_polynomials_still_multiply(self):
+        assert IntPolynomial((1, 1)) * IntPolynomial((-1, 1)) == IntPolynomial((-1, 0, 1))
+
+    def test_trusted_constructors_give_equal_values(self):
+        assert mat_mul(R2, R2) == ExactMatrix(2, ((1, 1), (1, 2)))
+        assert modmat_mul(mat_mod(R2, 7), mat_mod(R2, 7)) == ModMatrix(2, 7, ((1, 1), (1, 2)))
+        assert type(mat_mul(R2, R2)) is ExactMatrix
+
+
 def mod_matrices(max_n=6):
     def build(args):
         n, p, seed = args

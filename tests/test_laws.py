@@ -266,6 +266,15 @@ class TestPowerWalk:
         _in_threads(1, lambda: [laws.power(left, e) for e in range(-4, 5)])
         assert (pows[0], muls[0], inverses[0]) == (1, 8, 1)
 
+    def test_holds_one_power_of_each_of_the_last_two_bases(self):
+        def walk():
+            for n in (2, 3, 4):
+                laws.power(build_left(n), 2)
+                laws.power(build_right(n), 3)
+            return [(base, e) for base, e, _ in laws._held.powers]
+
+        assert _in_threads(1, walk) == [[(build_right(4), 3), (build_left(4), 2)]]
+
     def test_other_threads_do_not_step_from_this_threads_power(self):
         right = build_right(4)
         laws.power(right, 5)
@@ -380,6 +389,38 @@ class TestCampaignPowerCounts:
         serial_pows = pows[0]
         assert cli.run_campaign(pooled) == report
         assert serial_pows == pows[0] - serial_pows == 3
+
+    def test_cell_laws_share_the_walk(self, monkeypatch):
+        # Run point by point, the three laws at each (n, e) ask for one
+        # R_n**e in a row, so they cost what fib-recurrence alone costs.
+        pows = _count_calls(monkeypatch, laws, "mat_pow")
+        muls = _count_calls(monkeypatch, laws, "mat_mul")
+        counts = []
+        for names in (("fib-recurrence",),
+                      ("fib-recurrence", "border-formulas", "row-propagation")):
+            cfg = cli.CampaignConfig(names, n_range=(2, 4), e_range=(1, 10))
+            before = (pows[0], muls[0])
+            [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+            assert report["summary"]["fail"] == 0
+            counts.append((pows[0] - before[0], muls[0] - before[1]))
+        assert counts[0] == counts[1] == (3, 27)
+
+    def test_left_and_right_walks_interleave(self, monkeypatch):
+        # left-closed-form asks for L_n**e between the cell laws' R_n**e.
+        # With one power held per base, each walk costs what it costs on
+        # its own, and L_n is inverted once per n.
+        counters = [_count_calls(monkeypatch, module, name) for module, name in
+                    ((laws, "mat_pow"), (laws, "mat_mul"), (core, "unimodular_inverse"))]
+        cells = ("fib-recurrence", "border-formulas", "row-propagation")
+        costs = []
+        for names in (cells, ("left-closed-form",), cells + ("left-closed-form",)):
+            cfg = cli.CampaignConfig(names, n_range=(2, 4), e_range=(-4, 4))
+            before = [counter[0] for counter in counters]
+            [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+            assert report["summary"]["fail"] == 0
+            costs.append([counter[0] - b for counter, b in zip(counters, before)])
+        assert costs[2] == [x + y for x, y in zip(costs[0], costs[1])]
+        assert costs[2][2] == 3
 
     def test_left_closed_form_inverts_once(self, monkeypatch):
         inverses = _count_calls(monkeypatch, core, "unimodular_inverse")

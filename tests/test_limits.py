@@ -136,3 +136,18 @@ def test_cell_laws_over_e_1_to_64_at_n_64(tmp_path):
     assert json.loads(stdout)["summary"] == {"pass": 64 + 64 + 63, "fail": 0}
     assert seconds < 60, seconds
     assert peak_mb < 100, peak_mb
+
+
+def test_the_seven_walked_laws_at_n_64_over_the_whole_e_range(tmp_path):
+    # Every law that takes laws.power, in one campaign: at each (64, e)
+    # left-closed-form walks L_64 and the cell laws walk R_64, with one
+    # power of each held. Measured on a 2-vCPU x86_64 sandbox: about 10 s.
+    code, stdout, seconds, peak_mb = run_cli(
+        tmp_path, "verify", "--laws",
+        "left-closed-form,square-recurrence,cube-recurrence,fib-recurrence,"
+        "border-formulas,row-expansion,row-propagation",
+        "--n", "64", "--e=-64..64")
+    assert code == 0
+    assert json.loads(stdout)["summary"] == {"pass": 129 + 3 + 64 + 64 + 63, "fail": 0}
+    assert seconds < 60, seconds
+    assert peak_mb < 100, peak_mb

@@ -80,6 +80,18 @@ def modpow_is_identity(m, e):
     return modmat_pow(m, e) == ModMatrix.identity(m.n, m.p)
 
 
+class TestCheckResult:
+    def test_values_have_no_default(self):
+        with pytest.raises(TypeError):
+            modorder.CheckResult(PASS)
+
+    def test_reports_share_no_values_dict(self):
+        first = verify_left_order(3, 7).theorem_checks["closed-form-offdiagonal"]
+        second = verify_left_order(4, 7).theorem_checks["closed-form-offdiagonal"]
+        assert first.values == second.values == {}
+        assert first.values is not second.values
+
+
 class TestLeftOrder:
     def test_n2_p2(self):
         report = verify_left_order(2, 2)
