@@ -51,6 +51,8 @@ from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
 MAX_N = 64
 MAX_E = 64
 MAX_P = 2**31 - 1
+# F_K has about 0.21 K digits, and int-to-decimal conversion is quadratic.
+MAX_FIB_INDEX = 10**6
 
 USAGE_ERROR = 2
 
@@ -287,6 +289,8 @@ def cmd_fib(args: argparse.Namespace) -> int:
     if query in ("value", "lucas"):
         if value < 0:
             raise UsageError("index must be nonnegative")
+        if value > MAX_FIB_INDEX:
+            raise UsageError(f"index {value} exceeds the limit {MAX_FIB_INDEX}")
         result = fib(value) if query == "value" else lucas(value)
         emit({"object": "integer", "value": str(result)}, fmt)
         return 0

@@ -5,13 +5,12 @@ ints, so nothing ever rounds or overflows. Public accessors are 1-based
 (row i, column j with 1 <= i, j <= n); storage is a plain row-major
 tuple of tuples.
 
-The two nontrivial algorithms are fraction-free. Determinants use
-Bareiss elimination, whose intermediate divisions are exact by
-construction. Characteristic polynomials use the Faddeev-LeVerrier
-trace recursion, whose division by the step index k is likewise exact
-over the integers; the final auxiliary matrix of that recursion is the
-adjugate up to sign, which hands us the exact integer inverse of a
-unimodular matrix for free.
+The nontrivial algorithms are fraction-free. One Bareiss elimination
+loop, whose intermediate divisions are exact by construction, gives
+determinants, and run Gauss-Jordan style on [A | I] it gives the exact
+integer inverse of a unimodular matrix in O(n^3). Characteristic
+polynomials use the Faddeev-LeVerrier trace recursion, whose division
+by the step index k is likewise exact over the integers.
 
 The value types are `typing.NamedTuple` records, not dataclasses, so a
 fresh process does not import `dataclasses` (and with it `inspect`,
@@ -22,7 +21,7 @@ Validation happens at the API edge. The public constructors (the
 classes themselves, `from_rows`, `from_fn`, `identity`, `zero`,
 `scalar`) and `mat_mod` check the shape, that entries are ints, and for
 `ModMatrix` that entries are residues and the modulus is prime, by
-Miller-Rabin. Products, sums, scalings and powers of matrices that were
+Miller-Rabin. Products, powers and inverses of matrices that were
 already validated are built through the trusted constructors `_exact`
 and `_mod` (plain `tuple.__new__`), which check nothing, so a product
 costs only its arithmetic.
@@ -145,9 +144,6 @@ class ExactMatrix(_ExactFields):
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
 
 class _ModFields(NamedTuple):
     n: int
@@ -188,9 +184,6 @@ class ModMatrix(_ModFields):
             raise IndexError(f"index ({i}, {j}) outside 1..{self.n}")
         return self.rows[i - 1][j - 1]
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
 
 def _exact(n: int, rows: tuple[tuple[int, ...], ...]) -> ExactMatrix:
     """ExactMatrix from rows already known to be an n x n grid of ints."""
@@ -226,10 +219,6 @@ class IntPolynomial(_PolynomialFields):
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         return tuple.__new__(cls, (coeffs,))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        return cls(tuple(coeffs))
 
     @classmethod
     def one(cls) -> "IntPolynomial":
@@ -276,8 +265,8 @@ def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
 
     The product starts at the lowest set bit of e, so a power takes
     popcount(e) - 1 multiplies and bit_length(e) - 1 squarings.
-    Negative exponents are defined only for unimodular matrices, whose
-    inverse stays integral.
+    A negative exponent powers the Gauss-Jordan inverse, so it is
+    defined only for unimodular matrices, whose inverse stays integral.
     """
     if e < 0:
         return mat_pow(unimodular_inverse(a), -e)
@@ -294,19 +283,6 @@ def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
             result = mat_mul(result, a)
         e >>= 1
     return result
-
-
-def mat_scale(a: ExactMatrix, s: int) -> ExactMatrix:
-    if not isinstance(s, int):
-        raise ValueError("scale factor must be an exact integer")
-    return _exact(a.n, tuple(tuple(s * x for x in row) for row in a.rows))
-
-
-def mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return _exact(a.n, tuple(tuple(x + y for x, y in zip(ra, rb))
-                             for ra, rb in zip(a.rows, b.rows)))
 
 
 def mat_mod(a: ExactMatrix, p: int) -> ModMatrix:
@@ -366,13 +342,25 @@ def modmat_pow(a: ModMatrix, e: int) -> ModMatrix:
     return result
 
 
-def det(a: ExactMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = a.n
-    m = [list(row) for row in a.rows]
+def _eliminate(m: list[list[int]], jordan: bool) -> int:
+    """Fraction-free Bareiss elimination of the n-row array m, in place;
+    returns the determinant of its leading n x n block.
+
+    Step k swaps a nonzero pivot into m[k][k] and sets every entry right
+    of column k in the rows below it, and in the rows above it too when
+    jordan is set, to (m[i][j] * pivot - m[i][k] * m[k][j]) // the last
+    pivot. Each such division is exact by the Desnanot-Jacobi identity.
+    Columns up to k are left as they are, since no later step reads
+    them. A column with no pivot makes the block singular: the loop
+    stops and returns 0.
+
+    Run with jordan set on [A | I], it leaves d * A^-1 in the right
+    block, where d = m[n - 1][n - 1] is the last pivot.
+    """
+    n = len(m)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pivot is None:
@@ -380,53 +368,51 @@ def det(a: ExactMatrix) -> int:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         pkk = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                # Exact by the Desnanot-Jacobi identity behind Bareiss.
-                row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-            row_i[k] = 0
+        tail_k = m[k][k + 1:]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                row_i = m[i]
+                mik = row_i[k]
+                row_i[k + 1:] = [(x * pkk - mik * y) // prev
+                                 for x, y in zip(row_i[k + 1:], tail_k)]
         prev = pkk
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
-def _faddeev_leverrier(a: ExactMatrix) -> tuple[tuple[int, ...], ExactMatrix]:
-    """One sweep of the trace recursion.
+def det(a: ExactMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    return _eliminate([list(row) for row in a.rows], jordan=False)
 
-    Returns (c, M) where c are the ascending coefficients of the monic
-    characteristic polynomial det(xI - a) and M is the final auxiliary
-    matrix, satisfying a @ M == -c[0] * I.
+
+def charpoly(a: ExactMatrix) -> IntPolynomial:
+    """Monic characteristic polynomial det(xI - a), exact coefficients.
+
+    Faddeev-LeVerrier: with M_1 = I and M_{k+1} = a M_k + c_{n-k} I, the
+    coefficient c_{n-k} is -tr(a M_k) / k, a division that is exact over
+    the integers. That is n products a M_k.
     """
     n = a.n
     c = [0] * (n + 1)
     c[n] = 1
-    am = ExactMatrix.zero(n)
     m = ExactMatrix.identity(n)
     for k in range(1, n + 1):
-        m = mat_add(am, mat_scale(ExactMatrix.identity(n), c[n - k + 1]))
         am = mat_mul(a, m)
-        t = am.trace()
-        q, r = divmod(-t, k)
+        q, r = divmod(-am.trace(), k)
         if r:
             raise ArithmeticError("trace recursion division was not exact")
         c[n - k] = q
-    return tuple(c), m
-
-
-def charpoly(a: ExactMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - a), exact coefficients."""
-    c, _ = _faddeev_leverrier(a)
+        m = _exact(n, tuple(tuple(x + q if i == j else x for j, x in enumerate(row))
+                            for i, row in enumerate(am.rows)))
     return IntPolynomial(c)
 
 
 def unimodular_inverse(a: ExactMatrix) -> ExactMatrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    c, m = _faddeev_leverrier(a)
-    c0 = c[0]
-    # det a = (-1)**n * c0; unimodularity means |c0| == 1.
-    if c0 not in (1, -1):
+    """Exact integer inverse of a matrix with determinant +-1, by
+    fraction-free Gauss-Jordan elimination on [a | I]."""
+    n = a.n
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)]
+    if _eliminate(m, jordan=True) not in (1, -1):
         raise ValueError("not unimodular over the integers")
-    # a @ m == -c0 * I, so the inverse is m / (-c0) == -c0 * m.
-    return mat_scale(m, -c0)
+    # The right block is d * a^-1 for the last pivot d = +-1, so a^-1 = d * block.
+    d = m[n - 1][n - 1]
+    return _exact(n, tuple(tuple(d * x for x in row[n:]) for row in m))

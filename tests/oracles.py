@@ -1,14 +1,17 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here shares an algorithm with the library: determinants come
+Nothing here shares an algorithm with the library code it checks:
+determinants come
 from the permutation expansion, characteristic polynomials from
-cofactor expansion over polynomial entries, Fibonacci data from naive
+cofactor expansion over polynomial entries, unimodular inverses from
+the Faddeev-LeVerrier trace recursion, Fibonacci data from naive
 iteration, matrix orders from one power per divisor of the bound,
 matrix products from a generator of x * y over zip whose results are
 re-validated by the public constructors, and powers by binary
 exponentiation that multiplies into the identity. These are the slow
 paths that the library's prime fast paths, factor-removal order
-search and trusted-constructor kernels are tested against.
+search, Gauss-Jordan inverse and trusted-constructor kernels are tested
+against.
 
 The order-law verifiers take every matrix power afresh with the slow
 power and every Fibonacci value, entry point and period by iteration,
@@ -26,13 +29,7 @@ from itertools import permutations, product
 from math import comb
 
 from pascalfib import laws
-from pascalfib.core import (
-    ExactMatrix,
-    IntPolynomial,
-    ModMatrix,
-    mat_add,
-    mat_scale,
-)
+from pascalfib.core import ExactMatrix, IntPolynomial, ModMatrix
 from pascalfib.fib import fib
 from pascalfib.modorder import CheckResult, OrderReport
 from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
@@ -80,12 +77,36 @@ def charpoly_cofactor(m: ExactMatrix) -> IntPolynomial:
     return _poly_det(rows)
 
 
+def _plus_scalar(m: ExactMatrix, c: int) -> ExactMatrix:
+    """m + c * I."""
+    return ExactMatrix(m.n, tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                                  for i, row in enumerate(m.rows)))
+
+
 def poly_at_matrix(poly: IntPolynomial, m: ExactMatrix) -> ExactMatrix:
     """Evaluate an integer polynomial at a matrix argument (Horner)."""
-    acc = ExactMatrix.zero(m.n)
+    acc = ExactMatrix(m.n, tuple((0,) * m.n for _ in range(m.n)))
     for c in reversed(poly.coeffs):
-        acc = mat_add(mat_mul_slow(acc, m), mat_scale(ExactMatrix.identity(m.n), c))
+        acc = _plus_scalar(mat_mul_slow(acc, m), c)
     return acc
+
+
+def inverse_faddeev_leverrier(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of a unimodular matrix by the Faddeev-LeVerrier trace
+    recursion, in n slow products: with M_1 = I, c_{n-k} = -tr(m M_k) / k
+    and M_{k+1} = m M_k + c_{n-k} I, the last step gives m M_n = -c_0 I,
+    so the inverse is -c_0 M_n when c_0 = +-1."""
+    n = m.n
+    aux = ExactMatrix.identity(n)
+    for k in range(1, n + 1):
+        prod = mat_mul_slow(m, aux)
+        c, r = divmod(-sum(prod.rows[i][i] for i in range(n)), k)
+        assert r == 0, "trace recursion division was not exact"
+        if k < n:
+            aux = _plus_scalar(prod, c)
+    if c not in (1, -1):
+        raise ValueError("not unimodular over the integers")
+    return ExactMatrix(n, tuple(tuple(-c * x for x in row) for row in aux.rows))
 
 
 def fib_naive(k: int) -> int:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pascalfib import core
 from pascalfib.core import (
     ExactMatrix,
     IntPolynomial,
@@ -9,22 +10,21 @@ from pascalfib.core import (
     charpoly,
     det,
     is_prime,
-    mat_add,
     mat_mod,
     mat_mul,
     mat_pow,
-    mat_scale,
     modmat_mul,
     modmat_pow,
     prime_factors,
     strip_prime_factors,
     unimodular_inverse,
 )
-from pascalfib.pascal import build_left, build_right
+from pascalfib.pascal import build_left, build_right, left_inverse, right_inverse
 
 from oracles import (
     charpoly_cofactor,
     det_permanent_expansion,
+    inverse_faddeev_leverrier,
     mat_mul_slow,
     mat_pow_slow,
     modmat_mul_slow,
@@ -99,7 +99,6 @@ class TestPublicConstructorsValidate:
         lambda: ExactMatrix.from_rows([[1, 2], [3, 4.0]]),
         lambda: ExactMatrix.from_fn(2, lambda i, j: i / j),
         lambda: ExactMatrix(2, ((1, 2), (3, "4"))),
-        lambda: mat_scale(R2, 0.5),
     ])
     def test_non_int_entries(self, build):
         with pytest.raises(ValueError, match="exact integer"):
@@ -176,8 +175,6 @@ class TestKernelsMatchSlowPaths:
     def test_mat_mul(self, a, shift):
         b = ExactMatrix.from_rows([[x + shift for x in row] for row in reversed(a.rows)])
         assert mat_mul(a, b) == mat_mul_slow(a, b)
-        assert mat_add(a, b) == ExactMatrix.from_rows(
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
 
     @given(mod_matrices())
     @example(ModMatrix(1, 13, ((12,),)))
@@ -433,6 +430,25 @@ class TestCharpoly:
     def test_constant_term_vs_det(self, a):
         assert charpoly(a).coeffs[0] == (-1) ** a.n * det(a)
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 48])
+    def test_makes_n_products(self, monkeypatch, n):
+        calls = _count_mat_mul(monkeypatch)
+        charpoly(build_right(n))
+        assert len(calls) == n
+
+
+def _count_mat_mul(monkeypatch) -> list[None]:
+    """Record each call of core.mat_mul, the name the kernels call it by."""
+    calls = []
+    real = core.mat_mul
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(core, "mat_mul", counted)
+    return calls
+
 
 class TestUnimodularInverse:
     def test_identity(self):
@@ -448,6 +464,36 @@ class TestUnimodularInverse:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError, match="unimodular"):
             unimodular_inverse(ExactMatrix.from_rows([[2, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+        [[0, 0], [0, 1]],
+        [[1, 2], [2, 4]],
+    ])
+    def test_singular_rejected(self, rows):
+        # The elimination stops at the column with no pivot; the last
+        # diagonal entry it leaves behind is no determinant.
+        with pytest.raises(ValueError, match="unimodular"):
+            unimodular_inverse(ExactMatrix.from_rows(rows))
+
+    @given(unimodular_matrices())
+    def test_matches_faddeev_leverrier(self, a):
+        assert unimodular_inverse(a) == inverse_faddeev_leverrier(a)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_pascal_matrices_match_faddeev_leverrier(self, n):
+        for m in (build_left(n), build_right(n)):
+            assert unimodular_inverse(m) == inverse_faddeev_leverrier(m)
+
+    def test_pascal_matrices_at_n_64_match_closed_forms(self):
+        assert unimodular_inverse(build_left(64)) == left_inverse(64)
+        assert unimodular_inverse(build_right(64)) == right_inverse(64)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 48])
+    def test_makes_no_products(self, monkeypatch, n):
+        calls = _count_mat_mul(monkeypatch)
+        unimodular_inverse(build_right(n))
+        assert calls == []
 
     @given(unimodular_matrices())
     def test_two_sided_inverse(self, a):

@@ -168,7 +168,7 @@ def _base(kind: str, n: int):
 
 def _slow_power(kind: str, n: int, e: int):
     """L_n**e or R_n**e from the slow kernels; negative e through the
-    closed-form inverse, so no Faddeev-LeVerrier enters."""
+    closed-form inverse, so no library inverse enters."""
     if e >= 0:
         return mat_pow_slow(_base(kind, n), e)
     inverse = left_inverse(n) if kind == "left" else right_inverse(n)
@@ -207,6 +207,19 @@ def _count_calls(monkeypatch, module, name) -> list[int]:
         return real(*args)
 
     monkeypatch.setattr(module, name, counted)
+    return counter
+
+
+def _count_everywhere(monkeypatch, name) -> list[int]:
+    """Count the calls of core.name through every pascalfib module that
+    binds it, core itself included, in counter[0]."""
+    real = getattr(core, name)
+    counter = _count_calls(monkeypatch, core, name)
+    counted = getattr(core, name)
+    for module in list(sys.modules.values()):
+        if (module is not core and module.__name__.startswith("pascalfib")
+                and getattr(module, name, None) is real):
+            monkeypatch.setattr(module, name, counted)
     return counter
 
 
@@ -365,6 +378,20 @@ class TestCampaignPowerCounts:
         [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
         assert report["summary"] == {"pass": 10, "fail": 0}
         assert (pows[0], muls[0]) == (1, 9)
+
+    def test_exact_grid_campaign(self, monkeypatch):
+        # The exact laws over n 2..18 and e -8..18: one inverse of L_n per
+        # n, with no product in it, and one charpoly of n products per n.
+        counters = [_count_everywhere(monkeypatch, name)
+                    for name in ("mat_mul", "mat_pow", "unimodular_inverse", "charpoly")]
+        names = ("left-closed-form", "square-recurrence", "cube-recurrence",
+                 "fib-recurrence", "border-formulas", "row-expansion",
+                 "row-propagation", "inverse-closed-forms", "eigen-conjecture",
+                 "identities", "hardy-wright")
+        cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(-8, 18))
+        [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+        assert report["summary"]["fail"] == 0
+        assert [counter[0] for counter in counters] == [1088, 85, 17, 17]
 
     def test_cell_laws_share_one_power(self, monkeypatch):
         # Three cell laws at one (n, e) ask for R_5**7 in a row: the

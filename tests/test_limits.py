@@ -1,5 +1,5 @@
-"""The documented limits (n <= 64, |e| <= 64, primes below 2^31), run at
-their edges under time and memory budgets.
+"""The documented limits (n <= 64, |e| <= 64, primes below 2^31, Fibonacci
+indices up to 10^6), run at their edges under time and memory budgets.
 
 Each campaign runs in a fresh interpreter, and its peak RSS is that
 child's own ru_maxrss from os.wait4. On Linux a child's ru_maxrss also
@@ -90,7 +90,7 @@ def test_scalar_power_near_1e5_stays_small(tmp_path):
 
 
 def test_right_matrix_power_minus_64_at_n_64(tmp_path):
-    # The negative power goes through the O(n^4) Faddeev-LeVerrier inverse.
+    # The negative power goes through the O(n^3) Gauss-Jordan inverse.
     code, stdout, seconds, peak_mb = run_cli(tmp_path, "matrix", "right", "64", "pow", "-64")
     rows = stdout.decode().splitlines()
     assert code == 0
@@ -151,3 +151,35 @@ def test_the_seven_walked_laws_at_n_64_over_the_whole_e_range(tmp_path):
     assert json.loads(stdout)["summary"] == {"pass": 129 + 3 + 64 + 64 + 63, "fail": 0}
     assert seconds < 60, seconds
     assert peak_mb < 100, peak_mb
+
+
+def _last_nine_digits(k: int, a: int, b: int) -> int:
+    """Term k of the Fibonacci-type sequence starting a, b, mod 10^9."""
+    for _ in range(k):
+        a, b = b, (a + b) % 10**9
+    return a
+
+
+@pytest.mark.parametrize("query, start", [("value", (0, 1)), ("lucas", (2, 1))])
+def test_fib_index_at_the_limit_of_1e6(tmp_path, query, start):
+    # The decimal conversion of a 208 988-digit integer is most of the time.
+    code, stdout, seconds, peak_mb = run_cli(tmp_path, "fib", query, "1000000")
+    digits = stdout.decode().strip()
+    assert code == 0
+    assert len(digits) == 208_988 and digits.isdigit()
+    assert int(digits[-9:]) == _last_nine_digits(10**6, *start)
+    assert seconds < 10, seconds
+    assert peak_mb < 100, peak_mb
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("query", ["value", "lucas"])
+def test_fib_index_above_the_limit_exits_2(query, fmt):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pascalfib.cli", "fib", query, "1000001", "--format", fmt],
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: index 1000001 exceeds the limit 1000000\n"
