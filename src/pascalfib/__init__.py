@@ -1,110 +1,7 @@
 """Exact arithmetic for Pascal matrices, their powers modulo primes,
-and their Fibonacci structure."""
+and their Fibonacci structure.
 
-from .core import (
-    ExactMatrix,
-    IntPolynomial,
-    ModMatrix,
-    charpoly,
-    det,
-    is_prime,
-    mat_mod,
-    mat_mul,
-    mat_pow,
-    modmat_mul,
-    modmat_pow,
-    unimodular_inverse,
-)
-from .fib import (
-    FibModData,
-    bloom_wall_check,
-    check_identities,
-    entry_point,
-    fib,
-    fib_mod_data,
-    fib_pair_mod,
-    fib_via_binomials,
-    lucas,
-    period_exactness_check,
-    pisano_period,
-)
-from .laws import (
-    CellLawReport,
-    recurrence_coefficients,
-    verify_border_formulas,
-    verify_cube_recurrence,
-    verify_fib_recurrence,
-    verify_row_expansion_23,
-    verify_row_propagation,
-    verify_square_recurrence,
-)
-from .modorder import (
-    OrderReport,
-    matrix_order_mod,
-    verify_left_order,
-    verify_order_bound,
-    verify_pminus1,
-    verify_pplus1,
-    verify_scalar_power,
-)
-from .pascal import (
-    binomial,
-    build_left,
-    build_right,
-    left_inverse,
-    left_power_entry,
-    right_inverse,
-)
-from .spectra import ConjectureReport, check_eigen_conjecture, conjectured_charpoly
+Every name is imported from its own module (`pascalfib.core`,
+`pascalfib.fib`, ...); the package itself loads none of them."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ExactMatrix",
-    "ModMatrix",
-    "IntPolynomial",
-    "FibModData",
-    "CellLawReport",
-    "OrderReport",
-    "ConjectureReport",
-    "mat_mul",
-    "mat_pow",
-    "mat_mod",
-    "modmat_mul",
-    "modmat_pow",
-    "det",
-    "charpoly",
-    "unimodular_inverse",
-    "is_prime",
-    "binomial",
-    "build_left",
-    "build_right",
-    "left_power_entry",
-    "left_inverse",
-    "right_inverse",
-    "fib",
-    "lucas",
-    "fib_pair_mod",
-    "fib_mod_data",
-    "entry_point",
-    "pisano_period",
-    "bloom_wall_check",
-    "fib_via_binomials",
-    "check_identities",
-    "period_exactness_check",
-    "verify_square_recurrence",
-    "verify_cube_recurrence",
-    "verify_fib_recurrence",
-    "verify_border_formulas",
-    "verify_row_expansion_23",
-    "verify_row_propagation",
-    "recurrence_coefficients",
-    "matrix_order_mod",
-    "verify_left_order",
-    "verify_scalar_power",
-    "verify_pminus1",
-    "verify_pplus1",
-    "verify_order_bound",
-    "conjectured_charpoly",
-    "check_eigen_conjecture",
-]

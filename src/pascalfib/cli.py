@@ -65,15 +65,10 @@ class UsageError(ValueError):
 # serialization
 
 
-def matrix_payload(m: ExactMatrix | ModMatrix, kind: str | None = None,
-                   **extra: Any) -> dict[str, Any]:
-    payload: dict[str, Any] = {"object": "matrix", "n": m.n}
-    if kind is not None:
-        payload["kind"] = kind
-    payload["modulus"] = m.p if isinstance(m, ModMatrix) else None
-    payload["entries"] = [[str(x) for x in row] for row in m.rows]
-    payload.update(extra)
-    return payload
+def matrix_payload(m: ExactMatrix | ModMatrix, kind: str) -> dict[str, Any]:
+    return {"object": "matrix", "n": m.n, "kind": kind,
+            "modulus": m.p if isinstance(m, ModMatrix) else None,
+            "entries": [[str(x) for x in row] for row in m.rows]}
 
 
 def matrix_from_payload(payload: dict[str, Any]) -> ExactMatrix | ModMatrix:

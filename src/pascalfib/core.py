@@ -26,6 +26,11 @@ already validated are built through the trusted constructors `_exact`
 and `_mod` (plain `tuple.__new__`), which check nothing, so a product
 costs only its arithmetic.
 
+Exact and modular powers share one square-and-multiply loop, `_power`,
+and differ only in the product they pass it and in what they do with
+e <= 0. The order searches in `modorder` do not use it: their ladder
+keeps every square it makes across the exponents of one search.
+
 The modular product uses Kronecker substitution: each row of the right
 factor is packed into one Python int, so a row of the product is n
 big-int scalar multiplies instead of n dot products. Exact products are
@@ -38,7 +43,7 @@ instances may be shared freely across threads.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -260,11 +265,31 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                              for row in a.rows))
 
 
-def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
-    """a**e by binary exponentiation; a**0 = I.
+_M = TypeVar("_M", ExactMatrix, ModMatrix)
+
+
+def _power(a: _M, e: int, mul: Callable[[_M, _M], _M]) -> _M:
+    """a**e for e >= 1 by square-and-multiply with the product mul.
 
     The product starts at the lowest set bit of e, so a power takes
     popcount(e) - 1 multiplies and bit_length(e) - 1 squarings.
+    """
+    while not e & 1:
+        a = mul(a, a)
+        e >>= 1
+    result = a
+    e >>= 1
+    while e:
+        a = mul(a, a)
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+    return result
+
+
+def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
+    """a**e by binary exponentiation; a**0 = I.
+
     A negative exponent powers the Gauss-Jordan inverse, so it is
     defined only for unimodular matrices, whose inverse stays integral.
     """
@@ -272,17 +297,7 @@ def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
         return mat_pow(unimodular_inverse(a), -e)
     if e == 0:
         return ExactMatrix.identity(a.n)
-    while not e & 1:
-        a = mat_mul(a, a)
-        e >>= 1
-    result = a
-    e >>= 1
-    while e:
-        a = mat_mul(a, a)
-        if e & 1:
-            result = mat_mul(result, a)
-        e >>= 1
-    return result
+    return _power(a, e, mat_mul)
 
 
 def mat_mod(a: ExactMatrix, p: int) -> ModMatrix:
@@ -323,23 +338,12 @@ def modmat_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
 
 
 def modmat_pow(a: ModMatrix, e: int) -> ModMatrix:
-    """a**e mod p by binary exponentiation from the lowest set bit of e;
-    e must be nonnegative."""
+    """a**e mod p by binary exponentiation; e must be nonnegative."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     if e == 0:
         return ModMatrix.identity(a.n, a.p)
-    while not e & 1:
-        a = modmat_mul(a, a)
-        e >>= 1
-    result = a
-    e >>= 1
-    while e:
-        a = modmat_mul(a, a)
-        if e & 1:
-            result = modmat_mul(result, a)
-        e >>= 1
-    return result
+    return _power(a, e, modmat_mul)
 
 
 def _eliminate(m: list[list[int]], jordan: bool) -> int:

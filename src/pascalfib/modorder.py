@@ -38,7 +38,8 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple
 
-from .core import ModMatrix, is_prime, mat_mod, modmat_mul, strip_prime_factors
+from .core import (ExactMatrix, ModMatrix, det, is_prime, mat_mod, modmat_mul,
+                   strip_prime_factors)
 from .fib import entry_point, fib_pair_mod, pisano_period
 from .pascal import build_left, build_right, left_power_entry
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
@@ -70,24 +71,6 @@ class OrderReport(NamedTuple):
 
 class BoundNotAnnihilating(ValueError):
     """The exponent bound given to matrix_order_mod is not annihilating."""
-
-
-def _is_invertible(m: ModMatrix) -> bool:
-    # Gaussian elimination over the field Z/p.
-    a = [list(row) for row in m.rows]
-    p = m.p
-    for col in range(m.n):
-        pivot = next((r for r in range(col, m.n) if a[r][col]), None)
-        if pivot is None:
-            return False
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        inv = pow(a[col][col], p - 2, p)
-        for r in range(col + 1, m.n):
-            f = a[r][col] * inv % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return True
 
 
 class _Ladder:
@@ -139,12 +122,19 @@ def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
     from the bound while m**(bound/q) is still the identity; what is
     left is the least annihilating exponent. The powers come from one
     ladder of repeated squares of m.
+
+    A singular m has no power equal to the identity, so its search
+    stops at the first check; only then is the determinant read, to
+    tell a singular m from a bound that is not annihilating.
     """
     if exponent_bound < 1:
         raise ValueError("exponent bound must be positive")
-    if not _is_invertible(m):
-        raise ValueError(f"matrix is singular modulo {m.p}")
-    return _order(_Ladder(m), exponent_bound)
+    try:
+        return _order(_Ladder(m), exponent_bound)
+    except BoundNotAnnihilating:
+        if det(ExactMatrix(m.n, m.rows)) % m.p == 0:
+            raise ValueError(f"matrix is singular modulo {m.p}") from None
+        raise
 
 
 def _scalar_of(m: ModMatrix) -> int | None:

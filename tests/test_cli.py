@@ -1,6 +1,5 @@
 import argparse
 import hashlib
-import importlib
 import json
 import os
 import re
@@ -9,13 +8,12 @@ import sys
 
 import pytest
 
+import pascalfib.fib as fib_module
 from pascalfib import cli, laws, modorder, spectra
 from pascalfib.core import ModMatrix
 from pascalfib.fib import lucas
 from pascalfib.pascal import build_left, build_right, left_power_entry
 from pascalfib.report import FAIL, PASS
-
-fib_module = importlib.import_module("pascalfib.fib")
 
 ALL_LAWS = ",".join(cli.LAW_REGISTRY)
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -509,6 +507,12 @@ class TestImportCost:
         # chain (inspect, ast, dis) in a fresh CLI process.
         probe = ("import sys, pascalfib.cli; print(sorted(m for m in "
                  "('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))")
+        assert run_python("-c", probe).stdout == "[]\n"
+
+    def test_package_import_loads_no_submodule(self):
+        # Names are imported from their own modules; the package re-exports none.
+        probe = ("import sys, pascalfib; print(sorted(m for m in sys.modules "
+                 "if m.startswith('pascalfib.')))")
         assert run_python("-c", probe).stdout == "[]\n"
 
     def test_threaded_campaign_loads_no_thread_pool(self):

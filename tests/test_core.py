@@ -290,6 +290,19 @@ class TestMatPow:
     def test_power_additivity(self, a, e, f):
         assert mat_pow(a, e + f) == mat_mul(mat_pow(a, e), mat_pow(a, f))
 
+    @pytest.mark.parametrize("power, mul_name, base", [
+        (mat_pow, "mat_mul", build_right(3)),
+        (modmat_pow, "modmat_mul", mat_mod(build_right(3), 7))])
+    def test_square_and_multiply_count(self, monkeypatch, power, mul_name, base):
+        # bit_length(e) - 1 squarings and popcount(e) - 1 multiplies.
+        calls = []
+        mul = getattr(core, mul_name)
+        monkeypatch.setattr(core, mul_name, lambda a, b: calls.append(1) or mul(a, b))
+        for e in range(1, 131):
+            calls.clear()
+            power(base, e)
+            assert len(calls) == e.bit_length() + bin(e).count("1") - 2
+
 
 class TestModMatrix:
     def test_mat_mod_reduces_entrywise(self):

@@ -1,10 +1,11 @@
-import importlib
 import operator
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pascalfib.fib as fib_module
 from pascalfib.fib import (
     bloom_wall_check,
     check_identities,
@@ -27,8 +28,12 @@ PRIMES_UNDER_10K = primes_below(10_000)
 PRIME_POWERS = tuple(sorted(q**k for q in PRIMES_UNDER_100 for k in range(2, 14)
                             if q**k < 10_000))
 
-# `pascalfib.fib` the attribute is the function; the module is in sys.modules.
-fib_module = importlib.import_module("pascalfib.fib")
+
+class TestModuleImport:
+    def test_import_as_gives_the_module(self):
+        import pascalfib.fib as m
+        assert m is sys.modules["pascalfib.fib"]
+        assert m.fib(10) == 55
 
 
 class TestSequences:

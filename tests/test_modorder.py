@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -49,9 +50,23 @@ class TestMatrixOrderMod:
             matrix_order_mod(mat_mod(build_right(3), 5), 7)
 
     def test_singular_matrix_rejected(self):
-        singular = ModMatrix(2, 3, ((1, 2), (2, 1)))  # det = 1 - 4 = 0 mod 3
-        with pytest.raises(ValueError, match="singular"):
-            matrix_order_mod(singular, 6)
+        # A singular matrix never reaches the identity, so the search fails
+        # its first check and the determinant names the cause.
+        p = 2**31 - 1
+        top = [[(7**(5 * i + j) + i) % p for j in range(5)] for i in range(4)]
+        rank_four = top + [[(x + 3 * y) % p for x, y in zip(top[0], top[2])]]
+        cases = [
+            (ModMatrix(2, 3, ((1, 2), (2, 1))), 6),  # det = 1 - 4 = 0 mod 3
+            (ModMatrix(3, 7, ((0, 0, 0),) * 3), 12),  # zero
+            (ModMatrix(2, 7, ((1, 1), (0, 0))), 12),  # idempotent
+            (ModMatrix(3, 11, ((0, 1, 5), (0, 0, 1), (0, 0, 0))), 40),  # nilpotent
+            (ModMatrix(5, p, tuple(map(tuple, rank_four))), 2**31 - 2),
+        ]
+        for m, bound in cases:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^matrix is singular modulo {m.p}$"):
+                matrix_order_mod(m, bound)
+            assert time.perf_counter() - start < 1.0
 
     def test_order_divides_any_annihilating_bound(self):
         m = mat_mod(build_right(5), 11)
