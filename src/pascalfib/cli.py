@@ -145,15 +145,8 @@ def _to_csv(payload: dict[str, Any]) -> str:
                 if witness is not None else "",
             ]) + "\n")
         return "".join(lines)
-    if obj == "order-report":
-        lines = ["field,value\n"]
-        for key in ("kind", "n", "p", "order", "witness_exponent_bound"):
-            lines.append(f"{key},{payload[key]}\n")
-        for name, check in payload["theorem_checks"].items():
-            lines.append(f"check:{name},{check['verdict']}\n")
-        return "".join(lines)
-    # generic report: one key,value line each
-    return "".join(f"{k},{v}\n" for k, v in payload.items() if k != "object")
+    header = "field,value\n" if obj == "order-report" else ""
+    return header + _report_lines(payload, "csv")
 
 
 def _to_plain(payload: dict[str, Any]) -> str:
@@ -179,16 +172,32 @@ def _to_plain(payload: dict[str, Any]) -> str:
         summary = payload["summary"]
         lines.append(f"summary: pass={summary['pass']} fail={summary['fail']}\n")
         return "".join(lines)
-    if obj == "order-report":
-        lines = [f"kind: {payload['kind']}", f"n: {payload['n']}",
-                 f"p: {payload['p']}", f"order: {payload['order']}",
-                 f"witness_exponent_bound: {payload['witness_exponent_bound']}"]
-        for name, check in payload["theorem_checks"].items():
-            values = " ".join(f"{k}={v}" for k, v in check.get("values", {}).items())
-            lines.append(f"check {name}: {check['verdict']}"
-                         + (f" ({values})" if values else ""))
-        return "\n".join(lines) + "\n"
-    return "\n".join(f"{k}: {v}" for k, v in payload.items() if k != "object") + "\n"
+    return _report_lines(payload, "plain")
+
+
+def _report_lines(payload: dict[str, Any], fmt: str) -> str:
+    """An order or bloom-wall report: one `key,value` (csv) or `key: value`
+    (plain) line per field, except that its dict of checks becomes one
+    `check:<name>,<verdict>` or `check <name>: <verdict> (<values>)` line
+    per check."""
+    lines = []
+    for key, value in payload.items():
+        if key == "object":
+            continue
+        if not isinstance(value, dict):
+            lines.append(f"{key},{value}\n" if fmt == "csv" else f"{key}: {value}\n")
+            continue
+        for name, check in value.items():
+            # An order check carries its values; a bloom-wall check is a verdict.
+            verdict, values = ((check["verdict"], check["values"])
+                               if isinstance(check, dict) else (check, {}))
+            if fmt == "csv":
+                lines.append(f"check:{name},{verdict}\n")
+            else:
+                shown = " ".join(f"{k}={v}" for k, v in values.items())
+                lines.append(f"check {name}: {verdict}"
+                             + (f" ({shown})" if shown else "") + "\n")
+    return "".join(lines)
 
 
 def _order_text(order: int | None) -> str | None:
@@ -241,6 +250,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         raise UsageError("pow requires an exponent")
     if action != "pow" and args.exponent is not None:
         raise UsageError(f"{action} takes no exponent")
+    if action == "pow" and abs(args.exponent) > MAX_E:
+        raise UsageError(f"exponent must be in -{MAX_E}..{MAX_E}")
     if action == "show":
         result = base
     elif action == "pow":

@@ -144,11 +144,6 @@ def _scalar_of(m: ModMatrix) -> int | None:
     return s if m == scalar else None
 
 
-def _neg_one_pow(exponent: int, p: int) -> int:
-    """(-1)**exponent as a canonical residue mod p."""
-    return 1 if exponent % 2 == 0 else (p - 1) % p
-
-
 def verify_left_order(n: int, p: int) -> OrderReport:
     """Assert that the left matrix has order exactly p modulo p (n >= 2).
 
@@ -240,11 +235,11 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
     generic = pow(f_prev, n - 1, p)
     if n % 2 == 0:
         k = n // 2
-        refined = _neg_one_pow((k + 1) * e, p) * f_prev % p
+        refined = pow(-1, (k + 1) * e, p) * f_prev % p
         refined_id = "signed-scalar-even"
     else:
         k = (n - 1) // 2
-        refined = _neg_one_pow(k * e, p)
+        refined = pow(-1, k * e, p)
         refined_id = "signed-scalar-odd"
     checks = {
         "scalar-form": CheckResult(
@@ -265,7 +260,7 @@ def verify_pminus1(n: int, p: int) -> OrderReport:
     facts = _right_order_data(n, p)
     if facts.order is None:
         return _fourth_power_failure(n, p, facts.e)
-    if fib_pair_mod(p - 1, p)[0] != 0:
+    if facts.pminus1_identity is None:  # p does not divide F_{p-1}
         checks = {"p-minus-1-identity": CheckResult(HYPOTHESIS_NOT_MET, {})}
     else:
         checks = {"p-minus-1-identity": CheckResult(

@@ -7,59 +7,29 @@ inverses are integer matrices with simple signed-binomial closed forms,
 and every integer power of L_n has the closed form e**(i-j) * C(i-1, j-1).
 
 The 0**0 == 1 convention is used throughout (Python's ** already does
-this), which makes exponent 0 and diagonal entries uniform.
+this), which makes exponent 0 and diagonal entries uniform. Binomials
+come from math.comb; the only state kept is the built L_n and R_n.
 """
 
 from __future__ import annotations
 
-import threading
+from math import comb
 
 from .core import ExactMatrix
 
 
-class BinomialCache:
-    """Triangular table of binomial coefficients, grown row by row.
-
-    Queries outside the triangle (b < 0 or b > a) return 0; the matrix
-    identities verified elsewhere lean on those vanishing boundary
-    terms. Growth happens under a lock and appends only fully built
-    rows, so concurrent readers never observe a partial row.
-    """
-
-    def __init__(self) -> None:
-        self._rows: list[tuple[int, ...]] = [(1,)]
-        self._lock = threading.Lock()
-
-    def get(self, a: int, b: int) -> int:
-        if a < 0:
-            raise ValueError("binomial row index must be nonnegative")
-        if b < 0 or b > a:
-            return 0
-        if a >= len(self._rows):
-            self._grow(a)
-        return self._rows[a][b]
-
-    def _grow(self, a: int) -> None:
-        with self._lock:
-            rows = self._rows
-            while len(rows) <= a:
-                prev = rows[-1]
-                rows.append((1, *(prev[k - 1] + prev[k]
-                                  for k in range(1, len(prev))), 1))
-
-
-_CACHE = BinomialCache()
-
-
 def binomial(a: int, b: int) -> int:
-    """Exact C(a, b); zero for b outside [0, a]."""
-    return _CACHE.get(a, b)
+    """Exact C(a, b); zero for b outside [0, a] (math.comb gives 0 for
+    b > a). The matrix identities verified elsewhere lean on those
+    vanishing boundary terms."""
+    if a < 0:
+        raise ValueError("binomial row index must be nonnegative")
+    return comb(a, b) if b >= 0 else 0
 
 
-# n -> L_n and n -> R_n, each built once. The values are immutable and
-# their entries are the binomial cache's own int objects, so the memos
-# hold only row tuples of references. setdefault hands every caller the
-# same object even when two threads build the same n at once.
+# n -> L_n and n -> R_n, each built once. The values are immutable, so
+# every caller may share them. setdefault hands every caller the same
+# object even when two threads build the same n at once.
 _lefts: dict[int, ExactMatrix] = {}
 _rights: dict[int, ExactMatrix] = {}
 

@@ -1,17 +1,17 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Nothing here shares an algorithm with the library code it checks:
-determinants come
-from the permutation expansion, characteristic polynomials from
-cofactor expansion over polynomial entries, unimodular inverses from
-the Faddeev-LeVerrier trace recursion, Fibonacci data from naive
-iteration, matrix orders from one power per divisor of the bound,
-matrix products from a generator of x * y over zip whose results are
-re-validated by the public constructors, and powers by binary
-exponentiation that multiplies into the identity. These are the slow
-paths that the library's prime fast paths, factor-removal order
-search, Gauss-Jordan inverse and trusted-constructor kernels are tested
-against.
+binomials come from a Pascal triangle grown row by row by addition,
+determinants from the permutation expansion, characteristic
+polynomials from cofactor expansion over polynomial entries,
+unimodular inverses from the Faddeev-LeVerrier trace recursion,
+Fibonacci data from naive iteration, matrix orders from one power per
+divisor of the bound, matrix products from a generator of x * y over
+zip whose results are re-validated by the public constructors, and
+powers by binary exponentiation that multiplies into the identity.
+These are the slow paths that the library's math.comb binomials, prime
+fast paths, factor-removal order search, Gauss-Jordan inverse and
+trusted-constructor kernels are tested against.
 
 The order-law verifiers take every matrix power afresh with the slow
 power and every Fibonacci value, entry point and period by iteration,
@@ -26,14 +26,27 @@ same matrix to both. Slow on purpose; only run at small sizes.
 """
 
 from itertools import permutations, product
-from math import comb
 
 from pascalfib import laws
 from pascalfib.core import ExactMatrix, IntPolynomial, ModMatrix
 from pascalfib.fib import fib
 from pascalfib.modorder import CheckResult, OrderReport
 from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
-from pascalfib.pascal import binomial, build_left, build_right, left_power_entry
+from pascalfib.pascal import build_left, build_right, left_power_entry
+
+# Rows 0, 1, ... of Pascal's triangle, each made from the one above it.
+_triangle: list[tuple[int, ...]] = [(1,)]
+
+
+def binomial_triangle(a: int, b: int) -> int:
+    """C(a, b) read off the triangle, grown by addition up to row a; zero
+    for b outside [0, a]."""
+    if a < 0:
+        raise ValueError("binomial row index must be nonnegative")
+    while len(_triangle) <= a:
+        prev = _triangle[-1]
+        _triangle.append((1, *(prev[k - 1] + prev[k] for k in range(1, len(prev))), 1))
+    return _triangle[a][b] if 0 <= b <= a else 0
 
 
 def det_permanent_expansion(m: ExactMatrix) -> int:
@@ -230,7 +243,7 @@ def _neg_one_pow(exponent: int, p: int) -> int:
 
 def verify_left_order_slow(n: int, p: int) -> OrderReport:
     order = _order_slow(_reduce(build_left(n), p), p)
-    offdiag = all(comb(i - 1, j - 1) * p ** (i - j) % p == 0
+    offdiag = all(binomial_triangle(i - 1, j - 1) * p ** (i - j) % p == 0
                   for i in range(1, n + 1) for j in range(1, i))
     return OrderReport("left", n, p, order, p, {
         "order-equals-p": CheckResult(PASS if order == p else FAIL, {"order": order}),
@@ -365,7 +378,7 @@ def verify_border_formulas_slow(n: int, e: int) -> laws.CellLawReport:
     failures = []
     for j in range(1, n + 1):
         lhs = a.entry(1, j)
-        rhs = binomial(n - 1, j - 1) * f_prev ** (n - j) * f_cur ** (j - 1)
+        rhs = binomial_triangle(n - 1, j - 1) * f_prev ** (n - j) * f_cur ** (j - 1)
         checked += 1
         if lhs != rhs:
             failures.append((1, j, lhs, rhs))

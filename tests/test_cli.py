@@ -107,6 +107,19 @@ class TestMatrixCommand:
         code, out, err = run(capsys, "matrix", "left", "3", action, exponent)
         assert (code, out, err) == (2, "", f"error: {action} takes no exponent\n")
 
+    @pytest.mark.parametrize("exponent", ["64", "-64"])
+    def test_exponent_at_the_limit(self, capsys, exponent):
+        code, out, err = run(capsys, "matrix", "left", "2", "pow", exponent)
+        assert (code, err) == (0, "")
+        assert [line.split() for line in out.splitlines()] == [["1", "0"], [exponent, "1"]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("exponent", ["65", "-65"])
+    def test_exponent_past_the_limit_exits_2(self, capsys, exponent, fmt):
+        code, out, err = run(capsys, "matrix", "right", "64", "pow", exponent,
+                             "--format", fmt)
+        assert (code, out, err) == (2, "", "error: exponent must be in -64..64\n")
+
     def test_dimension_cap(self, capsys):
         code, _, err = run(capsys, "matrix", "left", "65", "show")
         assert code == 2
@@ -165,6 +178,22 @@ class TestFibCommand:
         assert payload["entry_point"] == "7"
         assert payload["verdict"] == PASS
 
+    @pytest.mark.parametrize("p, fmt, expected", [
+        ("13", "csv", "p,13\nresidue_mod5,3\nentry_point,7\nperiod,28\n"
+                      "check:entry-point-divides-p-plus-1,pass\n"
+                      "check:period-divides-2p-plus-2,pass\nverdict,pass\n"),
+        ("13", "plain", "p: 13\nresidue_mod5: 3\nentry_point: 7\nperiod: 28\n"
+                        "check entry-point-divides-p-plus-1: pass\n"
+                        "check period-divides-2p-plus-2: pass\nverdict: pass\n"),
+        ("19", "csv", "p,19\nresidue_mod5,4\nentry_point,18\nperiod,18\n"
+                      "check:period-divides-p-minus-1,pass\nverdict,pass\n"),
+        ("19", "plain", "p: 19\nresidue_mod5: 4\nentry_point: 18\nperiod: 18\n"
+                        "check period-divides-p-minus-1: pass\nverdict: pass\n"),
+    ])
+    def test_bloom_wall_csv_and_plain_bytes(self, capsys, p, fmt, expected):
+        # One line per check, as `order` writes them, not the checks dict's repr.
+        assert run(capsys, "fib", "bloom-wall", p, "--format", fmt) == (0, expected, "")
+
     def test_bloom_wall_composite_rejected(self, capsys):
         assert run(capsys, "fib", "bloom-wall", "9")[0] == 2
 
@@ -190,6 +219,32 @@ class TestOrderCommand:
 
     def test_composite_p_rejected(self, capsys):
         assert run(capsys, "order", "right", "3", "9")[0] == 2
+
+    @pytest.mark.parametrize("argv, fmt, expected", [
+        (("right", "4", "13"), "csv",
+         "field,value\nkind,right\nn,4\np,13\norder,28\nwitness_exponent_bound,28\n"
+         "check:within-2p-plus-2,pass\ncheck:tightness-even-dimension,pass\n"),
+        (("right", "4", "13"), "plain",
+         "kind: right\nn: 4\np: 13\norder: 28\nwitness_exponent_bound: 28\n"
+         "check within-2p-plus-2: pass (order=28 bound=28)\n"
+         "check tightness-even-dimension: pass (order=28 bound=28)\n"),
+        (("left", "4", "13"), "csv",
+         "field,value\nkind,left\nn,4\np,13\norder,13\nwitness_exponent_bound,13\n"
+         "check:order-equals-p,pass\ncheck:closed-form-offdiagonal,pass\n"),
+        (("left", "4", "13"), "plain",
+         "kind: left\nn: 4\np: 13\norder: 13\nwitness_exponent_bound: 13\n"
+         "check order-equals-p: pass (order=13)\ncheck closed-form-offdiagonal: pass\n"),
+        (("right", "2", "5"), "csv",
+         "field,value\nkind,right\nn,2\np,5\norder,20\nwitness_exponent_bound,20\n"
+         "check:within-2p-plus-2,hypothesis-not-met\n"
+         "check:tightness-even-dimension,hypothesis-not-met\n"),
+        (("right", "2", "5"), "plain",
+         "kind: right\nn: 2\np: 5\norder: 20\nwitness_exponent_bound: 20\n"
+         "check within-2p-plus-2: hypothesis-not-met (order=20)\n"
+         "check tightness-even-dimension: hypothesis-not-met (order=20)\n"),
+    ])
+    def test_csv_and_plain_bytes(self, capsys, argv, fmt, expected):
+        assert run(capsys, "order", *argv, "--format", fmt) == (0, expected, "")
 
 
 class TestModulusLimit:
@@ -474,6 +529,15 @@ class TestFalseFourthPowerTheorem:
         assert report["witness_exponent_bound"] == "32"
         assert report["theorem_checks"]["fourth-power-identity"] == {
             "verdict": FAIL, "values": {"entry_point": "8"}}
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", "field,value\nkind,right\nn,4\np,13\norder,None\n"
+                "witness_exponent_bound,32\ncheck:fourth-power-identity,fail\n"),
+        ("plain", "kind: right\nn: 4\np: 13\norder: None\nwitness_exponent_bound: 32\n"
+                  "check fourth-power-identity: fail (entry_point=8)\n"),
+    ])
+    def test_order_right_csv_and_plain_bytes(self, capsys, fmt, expected):
+        assert run(capsys, "order", "right", "4", "13", "--format", fmt) == (1, expected, "")
 
 
 class TestGoldenCampaign:

@@ -30,7 +30,8 @@ with open(sys.argv[1], "w") as fh:
     json.dump([proc.returncode, seconds, usage.ru_maxrss / 1024], fh)  # KB on Linux
 """
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+pytestmark = [pytest.mark.limits,
+              pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")]
 
 
 def run_cli(tmp_path, *argv: str) -> tuple[int, bytes, float, float]:

@@ -8,7 +8,6 @@ from pascalfib.core import ExactMatrix, mat_mod, mat_mul, mat_pow, modmat_pow
 from pascalfib import pascal
 from pascalfib.core import ModMatrix
 from pascalfib.pascal import (
-    BinomialCache,
     binomial,
     build_left,
     build_right,
@@ -16,6 +15,7 @@ from pascalfib.pascal import (
     left_power_entry,
     right_inverse,
 )
+from oracles import binomial_triangle
 
 
 class TestBinomial:
@@ -35,20 +35,21 @@ class TestBinomial:
     def test_pascal_recurrence(self, a, b):
         assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
 
-    def test_concurrent_growth_is_consistent(self):
-        cache = BinomialCache()
-        results = []
 
-        def worker():
-            results.append([cache.get(80, b) for b in range(81)])
+class TestAgainstTriangle:
+    """math.comb against the slow path it replaced: a triangle grown by addition."""
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r == results[0] for r in results)
-        assert sum(results[0]) == 2**80
+    def test_binomial_in_and_around_the_triangle(self):
+        for a in range(131):
+            for b in range(-2, a + 3):
+                assert binomial(a, b) == binomial_triangle(a, b), (a, b)
+
+    def test_builders_up_to_n_64(self):
+        for n in range(1, 65):
+            assert build_left(n) == ExactMatrix.from_fn(
+                n, lambda i, j: binomial_triangle(i - 1, j - 1)), n
+            assert build_right(n) == ExactMatrix.from_fn(
+                n, lambda i, j: binomial_triangle(i - 1, n - j)), n
 
 
 class TestBuilders:
