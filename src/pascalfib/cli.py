@@ -243,8 +243,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     n = args.n
     base = _build(args.kind, n)
     modulus = args.mod
-    if modulus is not None and not is_prime(modulus):
-        raise UsageError(f"modulus {modulus} is not prime")
+    if modulus is not None:
+        # is_prime is exact only below 3.3e24, so the limit comes first.
+        _check_modulus(modulus)
+        if not is_prime(modulus):
+            raise UsageError(f"modulus {modulus} is not prime")
     action = args.action
     if action == "pow" and args.exponent is None:
         raise UsageError("pow requires an exponent")
@@ -574,7 +577,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
         settings.update(_typed_config(raw))
     if args.laws is not None:

@@ -9,8 +9,11 @@ The nontrivial algorithms are fraction-free. One Bareiss elimination
 loop, whose intermediate divisions are exact by construction, gives
 determinants, and run Gauss-Jordan style on [A | I] it gives the exact
 integer inverse of a unimodular matrix in O(n^3). Characteristic
-polynomials use the Faddeev-LeVerrier trace recursion, whose division
-by the step index k is likewise exact over the integers.
+polynomials come from LeVerrier's power sums tr(a^k), k <= n, and
+Newton's identities, whose division by k is likewise exact over the
+integers. Each trace is one inner product of a^ceil(k/2) with the
+transpose of a^floor(k/2), so ceil(n/2) - 1 products suffice, half the
+n of the Faddeev-LeVerrier recursion, which the tests keep as an oracle.
 
 The value types are `typing.NamedTuple` records, not dataclasses, so a
 fresh process does not import `dataclasses` (and with it `inspect`,
@@ -33,8 +36,20 @@ keeps every square it makes across the exponents of one search.
 
 The modular product uses Kronecker substitution: each row of the right
 factor is packed into one Python int, so a row of the product is n
-big-int scalar multiplies instead of n dot products. Exact products are
-not packed, because on large entries packing was measured slower.
+big-int scalar multiplies instead of n dot products. The exact product
+packs too, with signed slots, and takes its scalars from the factor
+with the smaller entries, so a walk step P @ R_n multiplies n^2 packed
+ints by the small entries of R_n. Measured against the plain dot
+products (2-vCPU x86_64, Python 3.11), packing is faster from n = 7 up
+while a slot, the two entry bit lengths plus bits(n) + 1, is at most
+about 640 bits: 0.3-0.6x the time at n = 18..64 on Pascal powers below
+200 bits, near 1x at 640. It loses below n = 7 (up to 1.7x at n = 4)
+and on wider slots, such as the squarings of R_64^32 (1.3-1.8x), so
+there the plain dot products stay. It also packs only where one
+factor's entries fit in 64 bits, as in the walk steps and the charpoly
+products. The squarings of mat_pow past that size, where both factors
+are large, keep the dot products too: packing them measured 0.3-1.15x
+on Pascal powers of 97-300 bits, a gain this rule leaves untaken.
 
 Everything in this module is a pure function on immutable values, so
 instances may be shared freely across threads.
@@ -43,6 +58,7 @@ instances may be shared freely across threads.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -255,14 +271,83 @@ class IntPolynomial(_PolynomialFields):
         return IntPolynomial(tuple(out))
 
 
+# When the product packs (see the module docstring): from this dimension
+# up, with one factor's entries within _PACK_MAX_SMALL_BITS, as those of
+# L_n, R_n and their inverses are for n <= 64, and slots of at most
+# _PACK_MAX_WIDTH bits.
+_PACK_MIN_N = 7
+_PACK_MAX_SMALL_BITS = 64
+_PACK_MAX_WIDTH = 640
+
+
+def _max_bits(rows: tuple[tuple[int, ...], ...]) -> int:
+    """Bit length of the largest entry magnitude."""
+    return max(map(abs, chain.from_iterable(rows))).bit_length()
+
+
+def _packed_rows(scalars: tuple[tuple[int, ...], ...],
+                 big: tuple[tuple[int, ...], ...],
+                 width: int) -> tuple[tuple[int, ...], ...]:
+    """scalars @ big by Kronecker substitution with signed slots.
+
+    Row j of big becomes one int, the sum of big[j][k] << (k * width),
+    so row i of the product is the single sum of scalars[i][j] times
+    packed row j. Its k-th slot holds the dot product of row i and
+    column k, whose magnitude is below half the slot range when width
+    exceeds the two factors' entry bit lengths plus bits(n). A slot read
+    at or above that half is negative: it is taken less the full range,
+    and the slot above it gets back the 1 it lent.
+    """
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    packed = []
+    for row in big:
+        acc = 0
+        for x in reversed(row):
+            acc = (acc << width) + x
+        packed.append(acc)
+    mul = operator.mul
+    n = len(big)
+    rows = []
+    for row in scalars:
+        acc = sum(map(mul, row, packed))
+        cells = []
+        for _ in range(n):
+            x = acc & mask
+            acc >>= width
+            if x >= half:
+                x -= mask + 1
+                acc += 1
+            cells.append(x)
+        rows.append(tuple(cells))
+    return tuple(rows)
+
+
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product."""
+    """Exact matrix product.
+
+    From n >= _PACK_MIN_N, when one factor's entries fit in
+    _PACK_MAX_SMALL_BITS bits and the slots in _PACK_MAX_WIDTH bits, the
+    factor with the larger entries is packed and the other one gives
+    the scalars: b's rows when a is the small one, and otherwise a's
+    columns, which gives the product's columns, (b^T a^T)^T.
+    """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    n = a.n
+    if n >= _PACK_MIN_N:
+        a_bits, b_bits = _max_bits(a.rows), _max_bits(b.rows)
+        width = a_bits + b_bits + n.bit_length() + 1
+        if (min(a_bits, b_bits) <= _PACK_MAX_SMALL_BITS
+                and width <= _PACK_MAX_WIDTH):
+            if a_bits <= b_bits:
+                return _exact(n, _packed_rows(a.rows, b.rows, width))
+            cols = _packed_rows(tuple(zip(*b.rows)), tuple(zip(*a.rows)), width)
+            return _exact(n, tuple(zip(*cols)))
     mul = operator.mul
     cols = tuple(zip(*b.rows))
-    return _exact(a.n, tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                             for row in a.rows))
+    return _exact(n, tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                           for row in a.rows))
 
 
 _M = TypeVar("_M", ExactMatrix, ModMatrix)
@@ -391,22 +476,37 @@ def det(a: ExactMatrix) -> int:
 def charpoly(a: ExactMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - a), exact coefficients.
 
-    Faddeev-LeVerrier: with M_1 = I and M_{k+1} = a M_k + c_{n-k} I, the
-    coefficient c_{n-k} is -tr(a M_k) / k, a division that is exact over
-    the integers. That is n products a M_k.
+    LeVerrier's power sums: the traces p_k = tr(a^k) for k <= n give the
+    coefficients by Newton's identities, k c_{n-k} = -sum_{i<=k} c_{n-k+i}
+    p_i with c_n = 1, a division that is exact over the integers. Each
+    trace is one flat inner product, p_k = <a^ceil(k/2), (a^floor(k/2))^T>,
+    so a^2 .. a^ceil(n/2) suffice: ceil(n/2) - 1 products a a^j, with
+    two powers held at a time.
     """
     n = a.n
+    mul = operator.mul
+    flat = chain.from_iterable
+    half = (n + 1) // 2
+    sums = [0] * (n + 1)
+    # The transpose of a^(j-1), flattened; a^0 = I is its own transpose.
+    prev_t = tuple(flat(ExactMatrix.identity(n).rows))
+    power = a
+    for j in range(1, half + 1):
+        cur = tuple(flat(power.rows))
+        cur_t = tuple(flat(zip(*power.rows)))
+        sums[2 * j - 1] = sum(map(mul, cur, prev_t))
+        if 2 * j <= n:
+            sums[2 * j] = sum(map(mul, cur, cur_t))
+        if j < half:
+            prev_t = cur_t
+            power = mat_mul(a, power)
     c = [0] * (n + 1)
     c[n] = 1
-    m = ExactMatrix.identity(n)
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        q, r = divmod(-am.trace(), k)
+        q, r = divmod(-sum(c[n - k + i] * sums[i] for i in range(1, k + 1)), k)
         if r:
-            raise ArithmeticError("trace recursion division was not exact")
+            raise ArithmeticError("Newton identity division was not exact")
         c[n - k] = q
-        m = _exact(n, tuple(tuple(x + q if i == j else x for j, x in enumerate(row))
-                            for i, row in enumerate(am.rows)))
     return IntPolynomial(c)
 
 

@@ -177,6 +177,7 @@ class _RightFacts(NamedTuple):
     order: int | None               # None where R_n**(4e) != I
     scalar_e: int | None            # s with R_n**e = s * I, else None
     pminus1_identity: bool | None   # R_n**(p-1) == I; None unless p | F_{p-1}
+    pplus1_hypothesis: bool         # p | F_{p+1}
     pplus1_scalar: int | None       # s with R_n**(p+1) = s * I; None unless
                                     # p | F_{p+1} and that power is scalar
 
@@ -199,9 +200,11 @@ def _right_facts(n: int, p: int) -> _RightFacts:
     pminus1 = pplus1 = None
     if fib_pair_mod(p - 1, p)[0] == 0:
         pminus1 = ladder.power(p - 1) == ladder.identity
-    if fib_pair_mod(p + 1, p)[0] == 0:
+    pplus1_hypothesis = fib_pair_mod(p + 1, p)[0] == 0
+    if pplus1_hypothesis:
         pplus1 = _scalar_of(ladder.power(p + 1))
-    return _RightFacts(e, order, _scalar_of(ladder.power(e)), pminus1, pplus1)
+    return _RightFacts(e, order, _scalar_of(ladder.power(e)), pminus1,
+                       pplus1_hypothesis, pplus1)
 
 
 def _right_order_data(n: int, p: int) -> _RightFacts:
@@ -273,7 +276,7 @@ def verify_pplus1(n: int, p: int) -> OrderReport:
     facts = _right_order_data(n, p)
     if facts.order is None:
         return _fourth_power_failure(n, p, facts.e)
-    if fib_pair_mod(p + 1, p)[0] != 0:
+    if not facts.pplus1_hypothesis:
         checks = {"p-plus-1-identity": CheckResult(HYPOTHESIS_NOT_MET, {})}
     else:
         scalar = 1 if n % 2 == 1 else (p - 1) % p

@@ -3,14 +3,16 @@
 Nothing here shares an algorithm with the library code it checks:
 binomials come from a Pascal triangle grown row by row by addition,
 determinants from the permutation expansion, characteristic
-polynomials from cofactor expansion over polynomial entries,
-unimodular inverses from the Faddeev-LeVerrier trace recursion,
-Fibonacci data from naive iteration, matrix orders from one power per
-divisor of the bound, matrix products from a generator of x * y over
-zip whose results are re-validated by the public constructors, and
-powers by binary exponentiation that multiplies into the identity.
+polynomials from cofactor expansion over polynomial entries and from
+the Faddeev-LeVerrier trace recursion, unimodular inverses from that
+recursion too, Fibonacci data from naive iteration, matrix orders from
+one power per divisor of the bound, matrix products from a generator
+of x * y over zip whose results are re-validated by the public
+constructors, and powers by binary exponentiation that multiplies into
+the identity.
 These are the slow paths that the library's math.comb binomials, prime
-fast paths, factor-removal order search, Gauss-Jordan inverse and
+fast paths, factor-removal order search, Gauss-Jordan inverse,
+power-sum characteristic polynomial, packed products and
 trusted-constructor kernels are tested against.
 
 The order-law verifiers take every matrix power afresh with the slow
@@ -102,6 +104,22 @@ def poly_at_matrix(poly: IntPolynomial, m: ExactMatrix) -> ExactMatrix:
     for c in reversed(poly.coeffs):
         acc = _plus_scalar(mat_mul_slow(acc, m), c)
     return acc
+
+
+def charpoly_faddeev_leverrier(m: ExactMatrix) -> IntPolynomial:
+    """det(xI - m) by the Faddeev-LeVerrier trace recursion, in n slow
+    products: with M_1 = I and M_{k+1} = m M_k + c_{n-k} I, the
+    coefficient c_{n-k} is -tr(m M_k) / k, a division exact over Z."""
+    n = m.n
+    c = [0] * (n + 1)
+    c[n] = 1
+    aux = ExactMatrix.identity(n)
+    for k in range(1, n + 1):
+        prod = mat_mul_slow(m, aux)
+        c[n - k], r = divmod(-sum(prod.rows[i][i] for i in range(n)), k)
+        assert r == 0, "trace recursion division was not exact"
+        aux = _plus_scalar(prod, c[n - k])
+    return IntPolynomial(c)
 
 
 def inverse_faddeev_leverrier(m: ExactMatrix) -> ExactMatrix:

@@ -265,6 +265,22 @@ class TestModulusLimit:
     def test_largest_prime_below_2_31_accepted(self, capsys):
         assert run(capsys, "fib", "entry-point", "2147483647")[:2] == (0, "2147483648\n")
 
+    # 1287836182261 * 2575672364521, a strong pseudoprime to the first 12
+    # prime bases, so Miller-Rabin alone would take it for a prime.
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("action", ["det", "charpoly", "show"])
+    def test_matrix_mod_above_2_31_is_usage_error(self, capsys, action, fmt):
+        m = "3317044064679887385961981"
+        code, out, err = run(capsys, "matrix", "right", "3", action, "--mod", m,
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: modulus {m} exceeds the limit 2^31 - 1\n"
+
+    def test_matrix_mod_at_the_limit_accepted(self, capsys):
+        # det R_3 = -1.
+        assert run(capsys, "matrix", "right", "3", "det", "--mod", "2147483647") == (
+            0, "2147483646\n", "")
+
     # 2 * 1073741783, a prime = 3 mod 5: a composite with a large prime
     # factor, answered by factor removal rather than a scan of 6m steps.
     @pytest.mark.parametrize("command, value", [("period", "2147483568"),
@@ -422,6 +438,14 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b'{"laws": '], ids=["not-utf-8", "truncated"])
+    def test_unreadable_config_is_usage_error(self, capsys, tmp_path, data):
+        config = tmp_path / "campaign.json"
+        config.write_bytes(data)
+        code, out, err = run(capsys, "verify", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config: ") and err.count("\n") == 1
 
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "campaign.json"

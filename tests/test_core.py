@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pascalfib import core
@@ -23,6 +23,7 @@ from pascalfib.pascal import build_left, build_right, left_inverse, right_invers
 
 from oracles import (
     charpoly_cofactor,
+    charpoly_faddeev_leverrier,
     det_permanent_expansion,
     inverse_faddeev_leverrier,
     mat_mul_slow,
@@ -253,6 +254,117 @@ class TestPackedModularMultiply:
         assert modmat_mul(a, b) == modmat_mul_slow(a, b)
 
 
+def _signed_entries(bits):
+    """Entries of magnitude below 2**bits, the extremes drawn often."""
+    top = 2**bits - 1
+    return st.one_of(st.integers(-top, top), st.sampled_from([0, top, -top]))
+
+
+def _signed_matrix(data, n, bits):
+    return ExactMatrix(n, tuple(tuple(data.draw(st.lists(
+        _signed_entries(bits), min_size=n, max_size=n))) for _ in range(n)))
+
+
+def _transpose(m):
+    return ExactMatrix(m.n, tuple(zip(*m.rows)))
+
+
+class TestPackedExactMultiply:
+    """mat_mul packs the large-entry factor into signed slots of
+    bits(a) + bits(b) + bits(n) + 1 bits from n >= 7 when the other
+    factor's entries fit in 64 bits and the slots in 640 bits; the
+    generator product in tests/oracles.py packs nothing. Under forced
+    packing every dimension and size takes the packed path."""
+
+    @staticmethod
+    def check(a, b):
+        expected = mat_mul_slow(a, b)
+        assert mat_mul(a, b) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_PACK_MIN_N", 1)
+            mp.setattr(core, "_PACK_MAX_SMALL_BITS", 10**9)
+            mp.setattr(core, "_PACK_MAX_WIDTH", 10**9)
+            assert mat_mul(a, b) == expected
+
+    # Shrinking matrices of big ints takes minutes; the parametrized
+    # cases below are the small witnesses, so these skip the shrink.
+    @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.data(), st.integers(1, 9), st.integers(0, 64), st.integers(65, 1200))
+    def test_small_times_huge_and_back(self, data, n, small, huge):
+        a = _signed_matrix(data, n, small)
+        b = _signed_matrix(data, n, huge)
+        self.check(a, b)
+        self.check(b, a)
+
+    @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.data(), st.integers(1, 12), st.integers(0, 300), st.integers(0, 300))
+    def test_random_signed_factors(self, data, n, a_bits, b_bits):
+        self.check(_signed_matrix(data, n, a_bits), _signed_matrix(data, n, b_bits))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_zero_factors(self, n):
+        zero, m = ExactMatrix.zero(n), mat_pow(build_right(n), -5)
+        for a, b in ((zero, zero), (zero, m), (m, zero)):
+            self.check(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 63, 64])
+    @pytest.mark.parametrize("small, big",
+                             [(1, 1), (3, 3), (2, 200), (60, 500), (31, 1000)])
+    def test_largest_slots_next_to_zero_slots(self, n, small, big):
+        # Every column of b is +, 0 or - its largest entry, and each row
+        # of a one sign, so every slot of a @ b is n * max|a| * max|b|
+        # in magnitude, or 0, with positive, zero and negative slots side
+        # by side. Short one bit of width, the full slots overflow at
+        # n = 3, 7, 12 and 63 once both bit lengths are at least 2.
+        ma, mb = 2**small - 1, 2**big - 1
+        a = ExactMatrix(n, tuple(((-1) ** i * ma,) * n for i in range(n)))
+        b = ExactMatrix(n, tuple(tuple((1, 0, -1)[k % 3] * mb for k in range(n))
+                                 for _ in range(n)))
+        self.check(a, b)
+        self.check(b, a)
+        self.check(_transpose(b), _transpose(a))
+
+    @pytest.mark.parametrize("n, a_bits, b_bits, packed", [
+        (6, 9, 9, False),       # below the dimension crossover
+        (7, 9, 9, True),
+        (7, 64, 200, True),     # the small factor at 64 bits
+        (7, 65, 200, False),    # at 65 bits: both factors large
+        (7, 200, 64, True),
+        (7, 200, 65, False),
+        (7, 64, 571, True),     # width 64 + 571 + 3 + 1 = 639
+        (7, 2, 634, True),      # width 640, the right factor large
+        (7, 634, 2, True),      # width 640, the left factor large
+        (7, 2, 635, False),     # width 641
+        (64, 60, 572, True),    # width 640 at n = 64
+        (64, 60, 573, False),
+    ])
+    def test_crossover(self, monkeypatch, n, a_bits, b_bits, packed):
+        calls = []
+        real = core._packed_rows
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(core, "_packed_rows", counted)
+        # Each factor's largest entry is its (1, 1) entry, 2**bits - 1.
+        a = ExactMatrix.from_fn(n, lambda i, j: (-1) ** (i * j) * (2**a_bits - 1)
+                                // (i + j - 1))
+        b = ExactMatrix.from_fn(n, lambda i, j: (-1) ** (i + j) * (2**b_bits - 1) // j)
+        assert mat_mul(a, b) == mat_mul_slow(a, b)
+        assert len(calls) == int(packed)
+
+    @pytest.mark.parametrize("n", [7, 18, 48])
+    def test_pascal_walk_steps(self, n):
+        # The walk steps P @ base, and the charpoly's base @ P, with
+        # negative and positive powers P.
+        for base in (build_left(n), build_right(n)):
+            for e in (-9, -1, 2, 13):
+                power = mat_pow(base, e)
+                assert mat_mul(power, base) == mat_mul_slow(power, base)
+                assert mat_mul(base, power) == mat_mul_slow(base, power)
+
+
 class TestMatMul:
     def test_identity_absorbs(self):
         a = build_left(3)
@@ -443,11 +555,28 @@ class TestCharpoly:
     def test_constant_term_vs_det(self, a):
         assert charpoly(a).coeffs[0] == (-1) ** a.n * det(a)
 
+    @given(small_matrices(max_n=7, max_abs=9))
+    @example(ONE_BY_ONE)
+    @example(ExactMatrix.zero(1))
+    @example(ExactMatrix.zero(5))
+    def test_matches_faddeev_leverrier(self, a):
+        assert charpoly(a) == charpoly_faddeev_leverrier(a)
+
+    @given(small_matrices(max_n=4, max_abs=9))
+    def test_matches_cofactor_expansion(self, a):
+        assert charpoly(a) == charpoly_cofactor(a)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_pascal_matrices_match_faddeev_leverrier(self, n):
+        for m in (build_left(n), build_right(n)):
+            assert charpoly(m) == charpoly_faddeev_leverrier(m)
+
     @pytest.mark.parametrize("n", [1, 2, 17, 48])
     def test_makes_n_products(self, monkeypatch, n):
+        # a^2 .. a^ceil(n/2), one product each.
         calls = _count_mat_mul(monkeypatch)
         charpoly(build_right(n))
-        assert len(calls) == n
+        assert len(calls) == (n + 1) // 2 - 1
 
 
 def _count_mat_mul(monkeypatch) -> list[None]:

@@ -154,6 +154,18 @@ def test_the_seven_walked_laws_at_n_64_over_the_whole_e_range(tmp_path):
     assert peak_mb < 100, peak_mb
 
 
+def test_eigen_conjecture_at_n_64(tmp_path):
+    # One charpoly(R_64): 31 products R_64 @ R_64^j and 64 trace inner
+    # products. Measured on a 2-vCPU x86_64 host: 1.2-1.8 s and 18 MB;
+    # the 64 products of Faddeev-LeVerrier took 2.2-2.4 s.
+    code, stdout, seconds, peak_mb = run_cli(
+        tmp_path, "verify", "--laws", "eigen-conjecture", "--n", "64..64")
+    assert code == 0
+    assert json.loads(stdout)["summary"] == {"pass": 1, "fail": 0}
+    assert seconds < 30, seconds
+    assert peak_mb < 100, peak_mb
+
+
 def _last_nine_digits(k: int, a: int, b: int) -> int:
     """Term k of the Fibonacci-type sequence starting a, b, mod 10^9."""
     for _ in range(k):

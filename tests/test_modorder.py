@@ -240,6 +240,25 @@ class TestOrderBound:
 
 
 class TestRightOrderMemo:
+    def test_pplus1_hypothesis_evaluated_once_per_fill(self, monkeypatch):
+        # p | F_{p+1} is evaluated by the memo fill alone; verify_pplus1
+        # reads it from the facts, as verify_pminus1 reads its own.
+        calls = Counter()
+        real = modorder.fib_pair_mod
+
+        def counted(k, m):
+            calls[(k, m)] += 1
+            return real(k, m)
+
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        monkeypatch.setattr(modorder, "fib_pair_mod", counted)
+        primes = (7, 11, 13)
+        for _ in range(2):
+            verdicts = [verify_pplus1(n, p).theorem_checks["p-plus-1-identity"].verdict
+                        for n in (2, 3, 4) for p in primes]
+        assert [calls[(p + 1, p)] for p in primes] == [3, 3, 3]
+        assert verdicts == [PASS, HYPOTHESIS_NOT_MET, PASS] * 3
+
     def test_one_order_search_per_n_p_under_threads(self, monkeypatch):
         # The order search, like every power of R_n mod p, happens in the
         # one fill of the memo per (n, p).
