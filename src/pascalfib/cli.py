@@ -71,16 +71,6 @@ def matrix_payload(m: ExactMatrix | ModMatrix, kind: str) -> dict[str, Any]:
             "entries": [[str(x) for x in row] for row in m.rows]}
 
 
-def matrix_from_payload(payload: dict[str, Any]) -> ExactMatrix | ModMatrix:
-    """Inverse of matrix_payload; JSON round-trips to an equal matrix."""
-    rows = tuple(tuple(int(x) for x in row) for row in payload["entries"])
-    n = int(payload["n"])
-    modulus = payload.get("modulus")
-    if modulus is None:
-        return ExactMatrix(n, rows)
-    return ModMatrix(n, int(modulus), rows)
-
-
 def poly_payload(poly: IntPolynomial) -> dict[str, Any]:
     return {"object": "polynomial", "degree": poly.degree,
             "coeffs": [str(c) for c in poly.coeffs]}
@@ -577,7 +567,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
         settings.update(_typed_config(raw))
     if args.laws is not None:

@@ -21,8 +21,8 @@ fresh process does not import `dataclasses` (and with it `inspect`,
 or repeats like a tuple: `+`, and `*` with an int, raise TypeError.
 
 Validation happens at the API edge. The public constructors (the
-classes themselves, `from_rows`, `from_fn`, `identity`, `zero`,
-`scalar`) and `mat_mod` check the shape, that entries are ints, and for
+classes themselves, `from_rows`, `from_fn`, `identity`, `scalar`)
+and `mat_mod` check the shape, that entries are ints, and for
 `ModMatrix` that entries are residues and the modulus is prime, by
 Miller-Rabin. Products, powers and inverses of matrices that were
 already validated are built through the trusted constructors `_exact`
@@ -152,18 +152,11 @@ class ExactMatrix(_ExactFields):
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, n: int) -> "ExactMatrix":
-        return cls(n, tuple((0,) * n for _ in range(n)))
-
     def entry(self, i: int, j: int) -> int:
         """Entry at row i, column j (1-based)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"index ({i}, {j}) outside 1..{self.n}")
         return self.rows[i - 1][j - 1]
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
 
 
 class _ModFields(NamedTuple):
@@ -249,15 +242,6 @@ class IntPolynomial(_PolynomialFields):
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):

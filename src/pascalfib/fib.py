@@ -30,7 +30,6 @@ sum-of-squares identities, all verified in exact integer arithmetic.
 
 from __future__ import annotations
 
-import threading
 from math import lcm
 from typing import NamedTuple
 
@@ -98,19 +97,18 @@ class FibModData(NamedTuple):
     pisano_period: int
 
 
+# m -> its data. Each value depends on m alone, so two threads that
+# fill the same m at once store equal values.
 _mod_data: dict[int, FibModData] = {}
-_mod_data_lock = threading.Lock()
 
 
 def fib_mod_data(m: int) -> FibModData:
-    """Memoized per-modulus data, computed once per modulus."""
+    """Memoized per-modulus data."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    with _mod_data_lock:
-        data = _mod_data.get(m)
-        if data is None:
-            data = FibModData(m, *_entry_point_and_period(m))
-            _mod_data[m] = data
+    data = _mod_data.get(m)
+    if data is None:
+        data = _mod_data[m] = FibModData(m, *_entry_point_and_period(m))
     return data
 
 

@@ -7,12 +7,12 @@ prediction against it, so the law under test shares no code with its
 oracle beyond plain matrix multiplication. A campaign runs its checks
 point by point, so at each (n, e) the cell laws ask for one R_n**e in
 a row, and left-closed-form asks for L_n**e between them; e rises by
-one from point to point. `power` therefore keeps, in each thread, the
-last power of each of the last two bases it was asked for, hands it
-back when asked again and steps it up with one multiply instead of
-starting again; it holds no other power, so at most two matrices per
-thread. All comparisons are integer equalities; reports carry every
-failing cell as an (i, j, lhs, rhs) witness, in row-major order.
+one from point to point. `power` therefore keeps the last power of
+each of the last two bases it was asked for, hands it back when asked
+again and steps it up with one multiply instead of starting again; it
+holds no other power, so at most two matrices per process. All
+comparisons are integer equalities; reports carry every failing cell
+as an (i, j, lhs, rhs) witness, in row-major order.
 
 Index ranges: the square and cube recurrences come with stated ranges.
 The row-expansion and row-propagation laws do not, so their ranges were
@@ -24,7 +24,6 @@ the verifiers below pin the full grid.
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 from .core import ExactMatrix, mat_mul, mat_pow
@@ -46,24 +45,27 @@ class CellLawReport(NamedTuple):
         return not self.failures
 
 
-# The (base, e, base**e) that `power` last returned in this thread for
-# each of the last two bases it was asked for, most recent first.
-_held = threading.local()
+# The (base, e, base**e) that `power` last returned for each of the
+# last two bases it was asked for, most recent first. Each triple is
+# immutable and `power` rebinds the tuple whole, so a thread that reads
+# a stale tuple still steps from a true power.
+_held: tuple[tuple[ExactMatrix, int, ExactMatrix], ...] = ()
 
 
 def power(base: ExactMatrix, e: int) -> ExactMatrix:
     """base**e, for any e that core.mat_pow accepts.
 
-    If this thread last returned a power of the same base object at e,
-    the result is that power again; at e - 1 it is that power times
-    base: one multiply, and no inverse for negative e. Otherwise it is
+    If the last power held for the same base object is at e, the
+    result is that power again; at e - 1 it is that power times base:
+    one multiply, and no inverse for negative e. Otherwise it is
     core.mat_pow(base, e). One power is held for each of the last two
     bases, so a campaign that alternates L_n and R_n at each (n, e)
     walks both along e; the build_left/build_right memos hand out one
     object per n, so the walks keep their bases. At most two matrices
-    are held per thread.
+    are held per process.
     """
-    held = getattr(_held, "powers", ())
+    global _held
+    held = _held
     last = next((h for h in held if h[0] is base), None)
     if last is not None and last[1] == e:
         result = last[2]
@@ -71,7 +73,7 @@ def power(base: ExactMatrix, e: int) -> ExactMatrix:
         result = mat_mul(last[2], base)
     else:
         result = mat_pow(base, e)
-    _held.powers = ((base, e, result),) + tuple(h for h in held if h[0] is not base)[:1]
+    _held = ((base, e, result),) + tuple(h for h in held if h[0] is not base)[:1]
     return result
 
 
@@ -252,20 +254,3 @@ def verify_row_propagation(n: int, e: int) -> CellLawReport:
                 failures.append((i + 2, j + 1, lhs, rhs))
             tail = sign * prev_pows[j] * row[j] - f_cur * tail
     return CellLawReport("row-propagation", n, e, (n - 1) * n, tuple(failures))
-
-
-def recurrence_coefficients(e: int) -> tuple[int, int, int, int]:
-    """The (delta, alpha, beta, gamma) coefficient tuple of the power-e
-    cell relation, generated by the bootstrap system
-
-        delta_e = alpha_{e-1},  alpha_e = alpha_{e-1} + delta_{e-1},
-        beta_e = beta_{e-1} - gamma_{e-1},  gamma_e = -beta_{e-1}
-
-    seeded at (0, 1, 1, -1). Closed form: (F_{e-1}, F_e, F_{e+1}, -F_e).
-    """
-    if e < 1:
-        raise ValueError("exponent must be positive")
-    delta, alpha, beta, gamma = 0, 1, 1, -1
-    for _ in range(e - 1):
-        delta, alpha, beta, gamma = alpha, alpha + delta, beta - gamma, -beta
-    return delta, alpha, beta, gamma

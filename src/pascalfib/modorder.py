@@ -35,7 +35,6 @@ and surface as hypothesis-not-met rather than failures:
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 from .core import (ExactMatrix, ModMatrix, det, is_prime, mat_mod, modmat_mul,
@@ -183,10 +182,10 @@ class _RightFacts(NamedTuple):
 
 
 # (n, p) -> the facts above. No matrix is kept, so the memo stays small
-# however many (n, p) a campaign visits; the lock makes each fill run
-# once even when threads share it, so at most one ladder of R_n exists.
+# however many (n, p) a campaign visits. The facts depend on (n, p)
+# alone, so two threads that fill the same (n, p) at once store equal
+# values.
 _right_orders: dict[tuple[int, int], _RightFacts] = {}
-_right_orders_lock = threading.Lock()
 
 
 def _right_facts(n: int, p: int) -> _RightFacts:
@@ -212,10 +211,9 @@ def _right_order_data(n: int, p: int) -> _RightFacts:
         raise ValueError("right-matrix theorems require n >= 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    with _right_orders_lock:
-        facts = _right_orders.get((n, p))
-        if facts is None:
-            facts = _right_orders[(n, p)] = _right_facts(n, p)
+    facts = _right_orders.get((n, p))
+    if facts is None:
+        facts = _right_orders[(n, p)] = _right_facts(n, p)
     return facts
 
 

@@ -1,20 +1,26 @@
-"""Exact verification of the observed eigenvalue pattern of the
-column-justified Pascal matrix.
+"""Exact verification of the eigenvalue pattern of the column-justified
+Pascal matrix.
 
-Empirically, the eigenvalues of R_n are signed odd powers of the golden
-ratio phi and its conjugate: for n = 2k the pairs
+The eigenvalues of R_n are signed powers of the golden ratio phi and
+its conjugate: for n = 2k the pairs
 {(-1)**(k+i) phi**(2i-1), (-1)**(k+i) phibar**(2i-1)} for i = 1..k, and
 for n = 2k+1 additionally the lone eigenvalue (-1)**k with even powers
-2i in the pairs. No floating point is needed to test this: since
+2i in the pairs. The reason (Carlitz, Fibonacci Quarterly 3, 1965):
+row i of R_n holds the coefficients of y**(n-i) * (x+y)**(i-1) on the
+monomials x**(n-j) * y**(j-1), j = 1..n, that is, the image of
+x**(n-i) * y**(i-1) under x -> y, y -> x + y. So R_n is the (n-1)-st
+symmetric power of Q = R_2 = [[0, 1], [1, 1]], whose eigenvalues are
+phi and phibar, and its eigenvalues are
+phi**(n-1-k) * phibar**k = (-1)**k * phi**(n-1-2k) for k = 0..n-1.
+
+No floating point is needed to check this: since
 phi * phibar = -1 and phi**m + phibar**m = L_m (the Lucas numbers),
 each conjugate pair is exactly the root set of the integer quadratic
 
     x**2 - (+-L_m) x + (-1)**m,
 
-so the conjectured spectrum determines a monic integer polynomial that
-must equal the characteristic polynomial coefficient for coefficient.
-That makes the check a theorem-grade integer identity, not a numeric
-approximation.
+so the spectrum determines a monic integer polynomial that must equal
+the characteristic polynomial coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -62,9 +68,9 @@ def conjectured_charpoly(n: int) -> IntPolynomial:
 def check_eigen_conjecture(n: int) -> ConjectureReport:
     """Compare charpoly(R_n) with the conjectured polynomial, exactly.
 
-    A mismatch would be a counterexample to the conjecture and is
-    reported with the lowest differing coefficient degree, never
-    silenced.
+    A mismatch, which the symmetric-power argument rules out, would
+    point to a fault in charpoly or in the product, and is reported
+    with the lowest differing coefficient degree, never silenced.
     """
     computed = charpoly(build_right(n))
     conjectured = conjectured_charpoly(n)

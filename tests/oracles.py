@@ -92,6 +92,16 @@ def charpoly_cofactor(m: ExactMatrix) -> IntPolynomial:
     return _poly_det(rows)
 
 
+def zero_matrix(n: int) -> ExactMatrix:
+    """The n x n zero matrix."""
+    return ExactMatrix(n, tuple((0,) * n for _ in range(n)))
+
+
+def trace(m: ExactMatrix) -> int:
+    """Sum of the diagonal entries."""
+    return sum(m.rows[i][i] for i in range(m.n))
+
+
 def _plus_scalar(m: ExactMatrix, c: int) -> ExactMatrix:
     """m + c * I."""
     return ExactMatrix(m.n, tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
@@ -100,7 +110,7 @@ def _plus_scalar(m: ExactMatrix, c: int) -> ExactMatrix:
 
 def poly_at_matrix(poly: IntPolynomial, m: ExactMatrix) -> ExactMatrix:
     """Evaluate an integer polynomial at a matrix argument (Horner)."""
-    acc = ExactMatrix(m.n, tuple((0,) * m.n for _ in range(m.n)))
+    acc = zero_matrix(m.n)
     for c in reversed(poly.coeffs):
         acc = _plus_scalar(mat_mul_slow(acc, m), c)
     return acc
@@ -116,7 +126,7 @@ def charpoly_faddeev_leverrier(m: ExactMatrix) -> IntPolynomial:
     aux = ExactMatrix.identity(n)
     for k in range(1, n + 1):
         prod = mat_mul_slow(m, aux)
-        c[n - k], r = divmod(-sum(prod.rows[i][i] for i in range(n)), k)
+        c[n - k], r = divmod(-trace(prod), k)
         assert r == 0, "trace recursion division was not exact"
         aux = _plus_scalar(prod, c[n - k])
     return IntPolynomial(c)
@@ -131,7 +141,7 @@ def inverse_faddeev_leverrier(m: ExactMatrix) -> ExactMatrix:
     aux = ExactMatrix.identity(n)
     for k in range(1, n + 1):
         prod = mat_mul_slow(m, aux)
-        c, r = divmod(-sum(prod.rows[i][i] for i in range(n)), k)
+        c, r = divmod(-trace(prod), k)
         assert r == 0, "trace recursion division was not exact"
         if k < n:
             aux = _plus_scalar(prod, c)

@@ -10,7 +10,6 @@ import pytest
 
 import pascalfib.fib as fib_module
 from pascalfib import cli, laws, modorder, spectra
-from pascalfib.core import ModMatrix
 from pascalfib.fib import lucas
 from pascalfib.pascal import build_left, build_right, left_power_entry
 from pascalfib.report import FAIL, PASS
@@ -56,16 +55,19 @@ class TestMatrixCommand:
         payload = json.loads(out)
         assert payload["entries"][0][0] == "0" or isinstance(
             payload["entries"][0][0], str)
-        parsed = cli.matrix_from_payload(payload)
-        assert parsed == cli.mat_pow(build_right(4), 3)
+        assert payload["modulus"] is None
+        assert payload["entries"] == [[str(x) for x in row]
+                                      for row in cli.mat_pow(build_right(4), 3).rows]
 
     def test_json_round_trip_modular(self, capsys):
         code, out, _ = run(capsys, "matrix", "right", "5", "pow", "4",
                            "--mod", "7", "--format", "json")
         assert code == 0
-        parsed = cli.matrix_from_payload(json.loads(out))
-        assert isinstance(parsed, ModMatrix)
-        assert parsed == cli.mat_mod(cli.mat_pow(build_right(5), 4), 7)
+        payload = json.loads(out)
+        assert payload["modulus"] == 7
+        assert payload["entries"] == [
+            [str(x) for x in row]
+            for row in cli.mat_mod(cli.mat_pow(build_right(5), 4), 7).rows]
 
     def test_json_entries_are_decimal_strings(self, capsys):
         _, out, _ = run(capsys, "matrix", "left", "20", "pow", "3",
@@ -429,6 +431,8 @@ class TestVerifyCommand:
         ('{"laws": ["mod2"], "threads": true}', "'threads' must be an integer"),
         ('{"laws": ["mod2"], "threads": 0}', "threads must be at least 1"),
         ('{"laws": [2]}', "'laws' must be a list of law id strings"),
+        pytest.param("[" * 100_000, "cannot read config: maximum recursion depth exceeded",
+                     id="deep-nesting"),
     ])
     def test_malformed_config_is_usage_error(self, capsys, tmp_path, text, message):
         config = tmp_path / "campaign.json"

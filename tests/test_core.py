@@ -32,6 +32,7 @@ from oracles import (
     modmat_pow_slow,
     poly_at_matrix,
     prime_factors_naive,
+    zero_matrix,
 )
 
 R2 = ExactMatrix.from_rows([[0, 1], [1, 1]])
@@ -303,7 +304,7 @@ class TestPackedExactMultiply:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8])
     def test_zero_factors(self, n):
-        zero, m = ExactMatrix.zero(n), mat_pow(build_right(n), -5)
+        zero, m = zero_matrix(n), mat_pow(build_right(n), -5)
         for a, b in ((zero, zero), (zero, m), (m, zero)):
             self.check(a, b)
 
@@ -375,7 +376,7 @@ class TestMatMul:
 
     def test_zero_annihilates(self):
         a = build_right(3)
-        assert mat_mul(a, ExactMatrix.zero(3)) == ExactMatrix.zero(3)
+        assert mat_mul(a, zero_matrix(3)) == zero_matrix(3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -540,16 +541,16 @@ class TestCharpoly:
     def test_monic_of_degree_n(self):
         for n in (1, 3, 6):
             poly = charpoly(build_right(n))
-            assert poly.degree == n and poly.is_monic()
+            assert poly.degree == n and poly.coeffs[-1] == 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cayley_hamilton_on_pascal_matrices(self, n):
         for m in (build_left(n), build_right(n)):
-            assert poly_at_matrix(charpoly(m), m) == ExactMatrix.zero(n)
+            assert poly_at_matrix(charpoly(m), m) == zero_matrix(n)
 
     @given(small_matrices(max_n=4, max_abs=4))
     def test_cayley_hamilton(self, a):
-        assert poly_at_matrix(charpoly(a), a) == ExactMatrix.zero(a.n)
+        assert poly_at_matrix(charpoly(a), a) == zero_matrix(a.n)
 
     @given(small_matrices(max_n=4, max_abs=4))
     def test_constant_term_vs_det(self, a):
@@ -557,8 +558,8 @@ class TestCharpoly:
 
     @given(small_matrices(max_n=7, max_abs=9))
     @example(ONE_BY_ONE)
-    @example(ExactMatrix.zero(1))
-    @example(ExactMatrix.zero(5))
+    @example(zero_matrix(1))
+    @example(zero_matrix(5))
     def test_matches_faddeev_leverrier(self, a):
         assert charpoly(a) == charpoly_faddeev_leverrier(a)
 
@@ -653,9 +654,6 @@ class TestIntPolynomial:
     def test_degree(self):
         assert IntPolynomial((5,)).degree == 0
         assert IntPolynomial(()).degree == -1
-
-    def test_evaluation(self):
-        assert IntPolynomial((-1, -1, 1))(5) == 19
 
     def test_multiplication(self):
         # (x + 1)(x^2 - 3x + 1) = x^3 - 2x^2 - 2x + 1

@@ -11,7 +11,6 @@ from pascalfib import cli, core, laws
 from pascalfib.core import ExactMatrix, mat_pow
 from pascalfib.fib import fib
 from pascalfib.laws import (
-    recurrence_coefficients,
     verify_border_formulas,
     verify_cube_recurrence,
     verify_fib_recurrence,
@@ -21,6 +20,13 @@ from pascalfib.laws import (
 )
 from pascalfib.pascal import build_left, build_right, left_inverse, right_inverse
 from pascalfib.report import FAIL, PASS
+
+
+@pytest.fixture(autouse=True)
+def nothing_held(monkeypatch):
+    """Start each test with no power held, so call counts do not depend
+    on the tests that ran before."""
+    monkeypatch.setattr(laws, "_held", ())
 
 
 class TestSquareRecurrence:
@@ -60,12 +66,13 @@ class TestFibRecurrence:
         assert verify_fib_recurrence(6, 1).passed
 
     def test_e2_matches_square_coefficients(self):
-        # (delta, alpha, beta, gamma) = (1, 1, 2, -1) at e = 2.
-        assert recurrence_coefficients(2) == (1, 1, 2, -1)
+        # (F_1, F_2, F_3) = (1, 1, 2): the square recurrence's coefficients.
+        assert (fib(1), fib(2), fib(3)) == (1, 1, 2)
         assert verify_fib_recurrence(3, 2).passed
 
     def test_e3_matches_cube_coefficients(self):
-        assert recurrence_coefficients(3) == (1, 2, 3, -2)
+        # (F_2, F_3, F_4) = (1, 2, 3): the cube recurrence's coefficients.
+        assert (fib(2), fib(3), fib(4)) == (1, 2, 3)
         assert verify_fib_recurrence(3, 3).passed
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -80,16 +87,6 @@ class TestFibRecurrence:
             verify_fib_recurrence(1, 2)
         with pytest.raises(ValueError):
             verify_fib_recurrence(3, 0)
-
-
-class TestCoefficientSystem:
-    def test_seed(self):
-        assert recurrence_coefficients(1) == (0, 1, 1, -1)
-
-    def test_generates_fibonacci_quadruple(self):
-        for e in range(1, 31):
-            assert recurrence_coefficients(e) == (
-                fib(e - 1), fib(e), fib(e + 1), -fib(e))
 
 
 class TestBorderFormulas:
@@ -254,7 +251,7 @@ class TestPowerWalk:
         def walk():
             return [laws.power(_base(kind, n), e) for kind, n, e in requests]
 
-        # Fresh threads start with nothing held; both run at once.
+        # Both threads walk at once and share what the process holds.
         assert _in_threads(2, walk) == [expected, expected]
 
     def test_stress_many_threads_walk_shared_bases(self):
@@ -276,37 +273,25 @@ class TestPowerWalk:
         muls = _count_calls(monkeypatch, laws, "mat_mul")
         inverses = _count_calls(monkeypatch, core, "unimodular_inverse")
         left = build_left(5)
-        _in_threads(1, lambda: [laws.power(left, e) for e in range(-4, 5)])
+        for e in range(-4, 5):
+            laws.power(left, e)
         assert (pows[0], muls[0], inverses[0]) == (1, 8, 1)
 
     def test_holds_one_power_of_each_of_the_last_two_bases(self):
-        def walk():
-            for n in (2, 3, 4):
-                laws.power(build_left(n), 2)
-                laws.power(build_right(n), 3)
-            return [(base, e) for base, e, _ in laws._held.powers]
-
-        assert _in_threads(1, walk) == [[(build_right(4), 3), (build_left(4), 2)]]
-
-    def test_other_threads_do_not_step_from_this_threads_power(self):
-        right = build_right(4)
-        laws.power(right, 5)
-        # A fresh thread has no R_4**5 to step from, so R_4**6 comes from
-        # mat_pow there; the result is the same either way.
-        assert _in_threads(1, lambda: laws.power(right, 6)) == [
-            mat_pow_slow(right, 6)]
+        for n in (2, 3, 4):
+            laws.power(build_left(n), 2)
+            laws.power(build_right(n), 3)
+        assert [(base, e) for base, e, _ in laws._held] == [
+            (build_right(4), 3), (build_left(4), 2)]
 
     def test_an_equal_but_distinct_base_is_not_stepped_from(self):
         right = build_right(3)
         copy = ExactMatrix.from_rows(right.rows)
         skewed = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 
-        def walk():
-            laws.power(right, 2)
-            return laws.power(copy, 3), laws.power(skewed, 4)
-
-        assert _in_threads(1, walk) == [
-            (mat_pow_slow(right, 3), mat_pow_slow(skewed, 4))]
+        laws.power(right, 2)
+        assert (laws.power(copy, 3), laws.power(skewed, 4)) == (
+            mat_pow_slow(right, 3), mat_pow_slow(skewed, 4))
 
 
 def _corrupt_power(cells):
@@ -369,13 +354,13 @@ class TestRowIndexedLoops:
 
 
 class TestCampaignPowerCounts:
-    """Known kernel counts of a walked campaign, each run in a fresh thread."""
+    """Known kernel counts of a walked campaign, each run from nothing held."""
 
     def test_fib_recurrence_walk(self, monkeypatch):
         pows = _count_calls(monkeypatch, laws, "mat_pow")
         muls = _count_calls(monkeypatch, laws, "mat_mul")
         cfg = cli.CampaignConfig(("fib-recurrence",), n_range=(4, 4), e_range=(1, 10))
-        [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+        report = cli.run_campaign(cfg)
         assert report["summary"] == {"pass": 10, "fail": 0}
         assert (pows[0], muls[0]) == (1, 9)
 
@@ -390,7 +375,7 @@ class TestCampaignPowerCounts:
                  "row-propagation", "inverse-closed-forms", "eigen-conjecture",
                  "identities", "hardy-wright")
         cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(-8, 18))
-        [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+        report = cli.run_campaign(cfg)
         assert report["summary"]["fail"] == 0
         assert [counter[0] for counter in counters] == [990, 85, 17, 17]
 
@@ -402,7 +387,7 @@ class TestCampaignPowerCounts:
         cfg = cli.CampaignConfig(
             ("fib-recurrence", "border-formulas", "row-propagation"),
             n_range=(5, 5), e_range=(7, 7))
-        [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+        report = cli.run_campaign(cfg)
         assert report["summary"] == {"pass": 3, "fail": 0}
         assert (pows[0], muls[0]) == (1, 0)
 
@@ -413,7 +398,7 @@ class TestCampaignPowerCounts:
         serial = cli.CampaignConfig(("fib-recurrence",), n_range=(2, 4), e_range=(1, 10))
         pooled = cli.CampaignConfig(("fib-recurrence",), n_range=(2, 4), e_range=(1, 10),
                                     threads=2)
-        [report] = _in_threads(1, lambda: cli.run_campaign(serial))
+        report = cli.run_campaign(serial)
         serial_pows = pows[0]
         assert cli.run_campaign(pooled) == report
         assert serial_pows == pows[0] - serial_pows == 3
@@ -428,7 +413,7 @@ class TestCampaignPowerCounts:
                       ("fib-recurrence", "border-formulas", "row-propagation")):
             cfg = cli.CampaignConfig(names, n_range=(2, 4), e_range=(1, 10))
             before = (pows[0], muls[0])
-            [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+            report = cli.run_campaign(cfg)
             assert report["summary"]["fail"] == 0
             counts.append((pows[0] - before[0], muls[0] - before[1]))
         assert counts[0] == counts[1] == (3, 27)
@@ -444,7 +429,7 @@ class TestCampaignPowerCounts:
         for names in (cells, ("left-closed-form",), cells + ("left-closed-form",)):
             cfg = cli.CampaignConfig(names, n_range=(2, 4), e_range=(-4, 4))
             before = [counter[0] for counter in counters]
-            [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+            report = cli.run_campaign(cfg)
             assert report["summary"]["fail"] == 0
             costs.append([counter[0] - b for counter, b in zip(counters, before)])
         assert costs[2] == [x + y for x, y in zip(costs[0], costs[1])]
@@ -454,6 +439,6 @@ class TestCampaignPowerCounts:
         inverses = _count_calls(monkeypatch, core, "unimodular_inverse")
         cfg = cli.CampaignConfig(("left-closed-form",), n_range=(5, 5),
                                  e_range=(-4, 4))
-        [report] = _in_threads(1, lambda: cli.run_campaign(cfg))
+        report = cli.run_campaign(cfg)
         assert report["summary"] == {"pass": 9, "fail": 0}
         assert inverses[0] == 1
