@@ -319,8 +319,9 @@ def cmd_order(args: argparse.Namespace) -> int:
     _check_modulus(args.p)
     if not is_prime(args.p):
         raise UsageError(f"{args.p} is not prime")
-    if args.n < 1 or args.n > MAX_N:
-        raise UsageError(f"dimension must be in 1..{MAX_N}")
+    # L_1 and R_1 are the 1x1 identity: the order theorems start at n = 2.
+    if args.n < 2 or args.n > MAX_N:
+        raise UsageError(f"dimension must be in 2..{MAX_N}")
     if args.kind == "left":
         report = modorder.verify_left_order(args.n, args.p)
     else:
@@ -400,6 +401,17 @@ def _cell_verdict(report: laws.CellLawReport) -> Verdict:
                   "failing_cells": len(report.failures)}
 
 
+def _row_expansion(n: int) -> laws.CellLawReport:
+    """The row expansions of R_n**2 and R_n**3, which are row propagation
+    at e = 2 and 3. Their failures merge row-major by a stable sort, so
+    at a shared cell the square's comes first."""
+    square = laws.verify_row_propagation(n, 2)
+    cube = laws.verify_row_propagation(n, 3)
+    failures = sorted(square.failures + cube.failures, key=lambda f: f[:2])
+    return laws.CellLawReport("row-expansion", n, None,
+                              square.checked_cells + cube.checked_cells, tuple(failures))
+
+
 def _order_verdict(report: modorder.OrderReport) -> Verdict:
     checks = {name: check.verdict for name, check in report.theorem_checks.items()}
     if FAIL in checks.values():
@@ -472,15 +484,14 @@ LAW_REGISTRY: dict[str, Law] = {
     "mod2": Law("n", _check_mod2, n_lo=2),
     "left-closed-form": Law("ne", _check_left_closed_form, e_lo=-MAX_E),
     "square-recurrence": Law(
-        "n", lambda n: _cell_verdict(laws.verify_square_recurrence(n)), n_lo=2),
+        "n", lambda n: _cell_verdict(laws.verify_fib_recurrence(n, 2)), n_lo=2),
     "cube-recurrence": Law(
-        "n", lambda n: _cell_verdict(laws.verify_cube_recurrence(n)), n_lo=2),
+        "n", lambda n: _cell_verdict(laws.verify_fib_recurrence(n, 3)), n_lo=2),
     "fib-recurrence": Law(
         "ne", lambda n, e: _cell_verdict(laws.verify_fib_recurrence(n, e)), n_lo=2),
     "border-formulas": Law(
         "ne", lambda n, e: _cell_verdict(laws.verify_border_formulas(n, e))),
-    "row-expansion": Law(
-        "n", lambda n: _cell_verdict(laws.verify_row_expansion_23(n)), n_lo=2),
+    "row-expansion": Law("n", lambda n: _cell_verdict(_row_expansion(n)), n_lo=2),
     "row-propagation": Law(
         "ne", lambda n, e: _cell_verdict(laws.verify_row_propagation(n, e)),
         n_lo=2, e_lo=2),

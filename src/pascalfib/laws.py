@@ -14,12 +14,14 @@ holds no other power, so at most two matrices per process. All
 comparisons are integer equalities; reports carry every failing cell
 as an (i, j, lhs, rhs) witness, in row-major order.
 
-Index ranges: the square and cube recurrences come with stated ranges.
-The row-expansion and row-propagation laws do not, so their ranges were
-discovered by scanning the full grid 1 <= i <= n-1, 1 <= j <= n for
-n <= 8 (and exponents 2..10); no cell fails anywhere on that grid, and
-boundary columns are covered by the empty-sum convention at j = 1, so
-the verifiers below pin the full grid.
+Index ranges: the Fibonacci-coefficient recurrence comes with its
+stated range; the paper's square and cube recurrences are it at e = 2
+and 3, over the same cells. Row propagation comes with none, nor do
+the row expansions of R_n**2 and R_n**3 that it gives at e = 2 and 3,
+so its range was discovered by scanning the full grid 1 <= i <= n-1,
+1 <= j <= n for n <= 8 (and exponents 2..10); no cell fails anywhere
+on that grid, and boundary columns are covered by the empty-sum
+convention at j = 1, so the verifier below pins the full grid.
 """
 
 from __future__ import annotations
@@ -85,53 +87,15 @@ def _right_power(n: int, e: int) -> ExactMatrix:
 # the cell (i + 1, j + 1) of the docstrings, and witnesses are 1-based.
 
 
-def verify_square_recurrence(n: int) -> CellLawReport:
-    """Check b[i][j+1] = b[i-1][j+1] + 2 b[i-1][j] - b[i][j] on R_n**2.
-
-    Range: 2 <= i <= n, 1 <= j <= n-1. Failing cells are recorded at
-    the predicted position (i, j+1).
-    """
-    if n < 2:
-        raise ValueError("recurrence range is empty for n < 2")
-    rows = _right_power(n, 2).rows
-    failures = []
-    for i in range(1, n):
-        up, row = rows[i - 1], rows[i]
-        for j in range(n - 1):
-            lhs = row[j + 1]
-            rhs = up[j + 1] + 2 * up[j] - row[j]
-            if lhs != rhs:
-                failures.append((i + 1, j + 2, lhs, rhs))
-    return CellLawReport("square-recurrence", n, 2, (n - 1) ** 2, tuple(failures))
-
-
-def verify_cube_recurrence(n: int) -> CellLawReport:
-    """Check c[i+1][j] = 2 c[i][j] + 3 c[i][j-1] - 2 c[i+1][j-1] on R_n**3.
-
-    Range: 1 <= i <= n-1, 2 <= j <= n. Failing cells are recorded at
-    the predicted position (i+1, j).
-    """
-    if n < 2:
-        raise ValueError("recurrence range is empty for n < 2")
-    rows = _right_power(n, 3).rows
-    failures = []
-    for i in range(n - 1):
-        row, down = rows[i], rows[i + 1]
-        for j in range(1, n):
-            lhs = down[j]
-            rhs = 2 * row[j] + 3 * row[j - 1] - 2 * down[j - 1]
-            if lhs != rhs:
-                failures.append((i + 2, j + 1, lhs, rhs))
-    return CellLawReport("cube-recurrence", n, 3, (n - 1) ** 2, tuple(failures))
-
-
 def verify_fib_recurrence(n: int, e: int) -> CellLawReport:
     """Check the Fibonacci-coefficient recurrence on R_n**e over the integers:
 
         F_{e-1} a[i][j] = F_e a[i-1][j] + F_{e+1} a[i-1][j-1] - F_e a[i][j-1]
 
     for 2 <= i, j <= n. At e = 1 this degenerates to the Pascal
-    recurrence itself (F_0 = 0, F_1 = F_2 = 1).
+    recurrence itself (F_0 = 0, F_1 = F_2 = 1). At e = 2 and 3 it is
+    the paper's square and cube recurrence, with coefficients
+    (F_1, F_2, F_3) = (1, 1, 2) and (F_2, F_3, F_4) = (1, 2, 3).
     """
     if n < 2:
         raise ValueError("recurrence range is empty for n < 2")
@@ -181,44 +145,6 @@ def verify_border_formulas(n: int, e: int) -> CellLawReport:
     return CellLawReport("border-formulas", n, e, 2 * n, tuple(failures))
 
 
-def verify_row_expansion_23(n: int) -> CellLawReport:
-    """Check the previous-row expansions of R_n**2 and R_n**3:
-
-        b[i+1][j] = b[i][j] - sum_{k=1}^{j-1} (-1)**k b[i][j-k]
-        c[i+1][j] = 2 c[i][j] + sum_{k=1}^{j-1} (-1)**k 2**(k-1) c[i][j-k]
-
-    over the full grid 1 <= i <= n-1, 1 <= j <= n (empirically
-    failure-free; j = 1 is the empty-sum base case). Failing cells are
-    recorded at the predicted position (i+1, j), the b cell before the
-    c cell.
-
-    Both sums are carried along the row. Writing S_j and T_j for the b
-    and c sums at column j, S_1 = T_1 = 0, S_{j+1} = -S_j - b[i][j] and
-    T_{j+1} = -2 T_j - c[i][j], so a check takes O(n**2) steps instead
-    of O(n**3).
-    """
-    if n < 2:
-        raise ValueError("expansion range is empty for n < 2")
-    b = _right_power(n, 2).rows
-    c = _right_power(n, 3).rows
-    failures = []
-    for i in range(n - 1):
-        b_row, b_down, c_row, c_down = b[i], b[i + 1], c[i], c[i + 1]
-        b_sum = c_sum = 0
-        for j in range(n):
-            lhs = b_down[j]
-            rhs = b_row[j] - b_sum
-            if lhs != rhs:
-                failures.append((i + 2, j + 1, lhs, rhs))
-            lhs = c_down[j]
-            rhs = 2 * c_row[j] + c_sum
-            if lhs != rhs:
-                failures.append((i + 2, j + 1, lhs, rhs))
-            b_sum = -b_sum - b_row[j]
-            c_sum = -2 * c_sum - c_row[j]
-    return CellLawReport("row-expansion-23", n, None, 2 * (n - 1) * n, tuple(failures))
-
-
 def verify_row_propagation(n: int, e: int) -> CellLawReport:
     """Check the general previous-row expansion of R_n**e, cleared of
     denominators (multiply through by F_{e-1}**(j-1)):
@@ -228,7 +154,8 @@ def verify_row_propagation(n: int, e: int) -> CellLawReport:
 
     over the full grid 1 <= i <= n-1, 1 <= j <= n (empirically
     failure-free). Undefined at e = 1, where F_0 = 0 makes the original
-    fraction singular.
+    fraction singular. At e = 2 and 3, where F_{e-1} = 1, it is the
+    paper's row expansion of R_n**2 and of R_n**3.
 
     The sum is carried along the row, T_1 = 0 and
     T_{j+1} = -F_e T_j + (-1)**(1+e) F_{e-1}**(j-1) a[i][j]. That gives

@@ -65,11 +65,12 @@ def test_criterion_02_left_power_closed_form():
 
 
 def test_criterion_03_square_and_cube_recurrences():
+    # The square and cube recurrences are the Fibonacci-coefficient
+    # recurrence at e = 2 and 3, and their laws check them through it.
     for n in range(2, 11):
-        square = laws.verify_square_recurrence(n)
-        cube = laws.verify_cube_recurrence(n)
-        assert square.passed and square.checked_cells == (n - 1) ** 2, n
-        assert cube.passed and cube.checked_cells == (n - 1) ** 2, n
+        for law, e in (("square-recurrence", 2), ("cube-recurrence", 3)):
+            assert cli.LAW_REGISTRY[law].check(n=n) == (PASS, None), (law, n)
+            assert laws.verify_fib_recurrence(n, e).checked_cells == (n - 1) ** 2, n
     report(3, "square/cube recurrences have zero failing cells for n <= 10")
 
 

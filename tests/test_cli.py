@@ -219,6 +219,12 @@ class TestOrderCommand:
         code, _, err = run(capsys, "order", "left", "1", "7")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["left", "right"])
+    @pytest.mark.parametrize("n", ["0", "1", "65"])
+    def test_dimension_outside_2_to_64_is_one_usage_error(self, capsys, kind, n):
+        assert run(capsys, "order", kind, n, "7") == (
+            2, "", f"error: dimension must be in 2..{cli.MAX_N}\n")
+
     def test_composite_p_rejected(self, capsys):
         assert run(capsys, "order", "right", "3", "9")[0] == 2
 
@@ -631,6 +637,12 @@ def _wrong_entry_point_at_13(monkeypatch):
     monkeypatch.setattr(modorder, "entry_point", lambda p: 8 if p == 13 else real(p))
 
 
+def _row_propagation_failures(monkeypatch, square, cube):
+    failures = {2: square, 3: cube}
+    monkeypatch.setattr(laws, "verify_row_propagation", lambda n, e: laws.CellLawReport(
+        "stub", n, e, (n - 1) * n, failures[e]))
+
+
 CELL_WITNESS = {"i": 2, "j": 1, "lhs": "5", "rhs": "6", "failing_cells": 2}
 
 
@@ -646,10 +658,10 @@ class TestFailingWitnesses:
                                left_power_entry(e, i, j) + (i == 3 and j == 1)),
          {"n": 3, "e": -2}, {"i": 3, "j": 1, "lhs": "4", "rhs": "5"}),
         ("square-recurrence", ("--n", "3"),
-         lambda mp: _cell_failure(mp, "verify_square_recurrence"),
+         lambda mp: _cell_failure(mp, "verify_fib_recurrence"),
          {"n": 3}, CELL_WITNESS),
         ("cube-recurrence", ("--n", "3"),
-         lambda mp: _cell_failure(mp, "verify_cube_recurrence"),
+         lambda mp: _cell_failure(mp, "verify_fib_recurrence"),
          {"n": 3}, CELL_WITNESS),
         ("fib-recurrence", ("--n", "3", "--e", "2"),
          lambda mp: _cell_failure(mp, "verify_fib_recurrence"),
@@ -657,9 +669,10 @@ class TestFailingWitnesses:
         ("border-formulas", ("--n", "3", "--e", "2"),
          lambda mp: _cell_failure(mp, "verify_border_formulas"),
          {"n": 3, "e": 2}, CELL_WITNESS),
+        # Both row propagations fail at the same two cells.
         ("row-expansion", ("--n", "3"),
-         lambda mp: _cell_failure(mp, "verify_row_expansion_23"),
-         {"n": 3}, CELL_WITNESS),
+         lambda mp: _cell_failure(mp, "verify_row_propagation"),
+         {"n": 3}, CELL_WITNESS | {"failing_cells": 4}),
         ("row-propagation", ("--n", "3", "--e", "2"),
          lambda mp: _cell_failure(mp, "verify_row_propagation"),
          {"n": 3, "e": 2}, CELL_WITNESS),
@@ -676,6 +689,19 @@ class TestFailingWitnesses:
          lambda mp: mp.setattr(spectra, "lucas", lambda k: lucas(k) + 1),
          {"n": 2}, {"first_mismatch_degree": 1, "computed": ["-1", "-1", "1"],
                     "conjectured": ["-1", "-2", "1"]}),
+        # row-expansion merges the failures of row propagation at e = 2
+        # and 3 row-major. Here the cube fails first, at (2, 1), before
+        # the square's (2, 3); appending the cube's list to the square's
+        # would show (2, 3). Both fail at (3, 2).
+        ("row-expansion", ("--n", "3"),
+         lambda mp: _row_propagation_failures(
+             mp, ((2, 3, 1, 2), (3, 2, 3, 4)), ((2, 1, 5, 6), (3, 2, 7, 8))),
+         {"n": 3}, CELL_WITNESS | {"failing_cells": 4}),
+        # On a tie at the first failing cell the square's failure comes first.
+        ("row-expansion", ("--n", "3"),
+         lambda mp: _row_propagation_failures(
+             mp, ((3, 2, 3, 4),), ((3, 2, 7, 8), (3, 3, 9, 10))),
+         {"n": 3}, {"i": 3, "j": 2, "lhs": "3", "rhs": "4", "failing_cells": 3}),
     ])
     def test_witness(self, capsys, monkeypatch, law, argv, patch, params, witness):
         patch(monkeypatch)

@@ -12,11 +12,8 @@ from pascalfib.core import ExactMatrix, mat_pow
 from pascalfib.fib import fib
 from pascalfib.laws import (
     verify_border_formulas,
-    verify_cube_recurrence,
     verify_fib_recurrence,
-    verify_row_expansion_23,
     verify_row_propagation,
-    verify_square_recurrence,
 )
 from pascalfib.pascal import build_left, build_right, left_inverse, right_inverse
 from pascalfib.report import FAIL, PASS
@@ -29,36 +26,45 @@ def nothing_held(monkeypatch):
     monkeypatch.setattr(laws, "_held", ())
 
 
+SQUARE = cli.LAW_REGISTRY["square-recurrence"].check
+CUBE = cli.LAW_REGISTRY["cube-recurrence"].check
+ROW_EXPANSION = cli.LAW_REGISTRY["row-expansion"].check
+
+
 class TestSquareRecurrence:
+    """The square recurrence is the Fibonacci-coefficient recurrence at e = 2."""
+
     def test_n2_hand_computed(self):
         # R_2**2 = [[1,1],[1,2]]: cell (2,2): 2 = 1 + 2 - 1.
-        report = verify_square_recurrence(2)
+        report = verify_fib_recurrence(2, 2)
         assert report.passed
         assert report.checked_cells == 1
+        assert SQUARE(n=2) == (PASS, None)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_zero_failures(self, n):
-        report = verify_square_recurrence(n)
-        assert report.passed
-        assert report.checked_cells == (n - 1) * (n - 1)
+        assert SQUARE(n=n) == (PASS, None)
+        assert verify_fib_recurrence(n, 2).checked_cells == (n - 1) * (n - 1)
 
     def test_n1_precondition(self):
         with pytest.raises(ValueError):
-            verify_square_recurrence(1)
+            SQUARE(n=1)
 
 
 class TestCubeRecurrence:
+    """The cube recurrence is the Fibonacci-coefficient recurrence at e = 3."""
+
     def test_n2_hand_computed(self):
         # R_2**3 = [[1,2],[2,3]]: cell (2,2): 3 = 4 + 3 - 4.
-        report = verify_cube_recurrence(2)
+        report = verify_fib_recurrence(2, 3)
         assert report.passed
         assert report.checked_cells == 1
+        assert CUBE(n=2) == (PASS, None)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_zero_failures(self, n):
-        report = verify_cube_recurrence(n)
-        assert report.passed
-        assert report.checked_cells == (n - 1) * (n - 1)
+        assert CUBE(n=n) == (PASS, None)
+        assert verify_fib_recurrence(n, 3).checked_cells == (n - 1) * (n - 1)
 
 
 class TestFibRecurrence:
@@ -110,15 +116,15 @@ class TestBorderFormulas:
 
 
 class TestRowExpansion:
+    """The row expansions of R_n**2 and R_n**3 are row propagation at e = 2, 3."""
+
     def test_n2_hand_computed(self):
-        report = verify_row_expansion_23(2)
-        assert report.passed
+        assert ROW_EXPANSION(n=2) == (PASS, None)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_full_grid_zero_failures(self, n):
-        report = verify_row_expansion_23(n)
-        assert report.passed
-        assert report.checked_cells == 2 * (n - 1) * n
+        assert ROW_EXPANSION(n=n) == (PASS, None)
+        assert cli._row_expansion(n).checked_cells == 2 * (n - 1) * n
 
     def test_j1_base_case(self):
         # Empty sums: first column follows b[i+1][1] = b[i][1].
@@ -145,10 +151,18 @@ class TestRowPropagation:
 
 
 class TestReportShape:
-    def test_failure_witnesses_pinpoint_cells(self):
-        report = verify_square_recurrence(6)
-        assert report.law_id == "square-recurrence"
-        assert report.failures == ()
+    def test_failure_witnesses_pinpoint_cells(self, monkeypatch):
+        # Cell (3, 4) of R_6**2 bumped by one: the square recurrence fails
+        # there first, then where the cell enters the right-hand side, at
+        # (3, 5), (4, 4) and (4, 5).
+        true = mat_pow(build_right(6), 2).entry(3, 4)
+        monkeypatch.setattr(laws, "power", _corrupt_power([(2, 3, 1)]))
+        verdict, witness = SQUARE(n=6)
+        assert verdict == FAIL
+        assert (witness["i"], witness["j"], witness["lhs"]) == (3, 4, str(true + 1))
+        assert witness["failing_cells"] == 4
+        assert [cell[:2] for cell in verify_fib_recurrence(6, 2).failures] == [
+            (3, 4), (3, 5), (4, 4), (4, 5)]
 
     def test_checked_cells_matches_declared_range(self):
         report = verify_fib_recurrence(7, 4)
@@ -305,13 +319,19 @@ def _corrupt_power(cells):
     return power
 
 
+# (fast, slow) pairs taking (n, e). The square and cube recurrences and
+# the row expansions of R_n**2 and R_n**3 are checked by the general
+# verifiers at e = 2 and 3; their oracles keep the paper's special forms.
 CELL_LAWS = [
-    (verify_square_recurrence, oracles.verify_square_recurrence_slow, False),
-    (verify_cube_recurrence, oracles.verify_cube_recurrence_slow, False),
-    (verify_row_expansion_23, oracles.verify_row_expansion_23_slow, False),
-    (verify_fib_recurrence, oracles.verify_fib_recurrence_slow, True),
-    (verify_border_formulas, oracles.verify_border_formulas_slow, True),
-    (verify_row_propagation, oracles.verify_row_propagation_slow, True),
+    (lambda n, e: verify_fib_recurrence(n, 2),
+     lambda n, e: oracles.verify_square_recurrence_slow(n)),
+    (lambda n, e: verify_fib_recurrence(n, 3),
+     lambda n, e: oracles.verify_cube_recurrence_slow(n)),
+    (lambda n, e: cli._row_expansion(n),
+     lambda n, e: oracles.verify_row_expansion_23_slow(n)),
+    (verify_fib_recurrence, oracles.verify_fib_recurrence_slow),
+    (verify_border_formulas, oracles.verify_border_formulas_slow),
+    (verify_row_propagation, oracles.verify_row_propagation_slow),
 ]
 
 corruptions = st.lists(
@@ -327,9 +347,10 @@ class TestRowIndexedLoops:
     def test_cell_laws_match_entry_loops(self, n, e, cells):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(laws, "power", _corrupt_power(cells))
-            for fast, slow, takes_e in CELL_LAWS:
-                args = (n, e) if takes_e else (n,)
-                assert fast(*args) == slow(*args), fast.__name__
+            for k, (fast, slow) in enumerate(CELL_LAWS):
+                expected = slow(n, e)
+                # The law ids differ where a general verifier stands in.
+                assert fast(n, e)._replace(law_id=expected.law_id) == expected, k
 
     @given(n=st.integers(1, 6), e=st.integers(-6, 10), cells=corruptions)
     def test_left_closed_form_matches_entry_loop(self, n, e, cells):
