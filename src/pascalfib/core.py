@@ -36,20 +36,19 @@ keeps every square it makes across the exponents of one search.
 
 The modular product uses Kronecker substitution: each row of the right
 factor is packed into one Python int, so a row of the product is n
-big-int scalar multiplies instead of n dot products. The exact product
-packs too, with signed slots, and takes its scalars from the factor
-with the smaller entries, so a walk step P @ R_n multiplies n^2 packed
-ints by the small entries of R_n. Measured against the plain dot
-products (2-vCPU x86_64, Python 3.11), packing is faster from n = 7 up
-while a slot, the two entry bit lengths plus bits(n) + 1, is at most
-about 640 bits: 0.3-0.6x the time at n = 18..64 on Pascal powers below
-200 bits, near 1x at 640. It loses below n = 7 (up to 1.7x at n = 4)
-and on wider slots, such as the squarings of R_64^32 (1.3-1.8x), so
-there the plain dot products stay. It also packs only where one
-factor's entries fit in 64 bits, as in the walk steps and the charpoly
-products. The squarings of mat_pow past that size, where both factors
-are large, keep the dot products too: packing them measured 0.3-1.15x
-on Pascal powers of 97-300 bits, a gain this rule leaves untaken.
+big-int scalar multiplies instead of n dot products.
+
+The exact product multiplies by L_n and R_n with Pascal's rule. Row i
+of P @ L_n holds the coefficients of f(t + 1) where row i of P holds
+those of f(t), so the product is a Taylor shift by one: n(n - 1)/2
+column additions and no multiplies (Call and Velleman, "Pascal's
+matrices", Amer. Math. Monthly 100, 1993). P @ R_n is the same shift
+with its columns reversed. The pascal builders return L_n and R_n as
+the private subclasses `_LeftPascal` and `_RightPascal`, equal to the
+plain matrices of the same entries, and mat_mul takes the shift when
+its right factor is one of them: in every walk step and in every
+charpoly product a^j a of a Pascal matrix. What mat_mul returns is a
+plain ExactMatrix, so every other product takes the n^2 dot products.
 
 Everything in this module is a pure function on immutable values, so
 instances may be shared freely across threads.
@@ -255,83 +254,55 @@ class IntPolynomial(_PolynomialFields):
         return IntPolynomial(tuple(out))
 
 
-# When the product packs (see the module docstring): from this dimension
-# up, with one factor's entries within _PACK_MAX_SMALL_BITS, as those of
-# L_n, R_n and their inverses are for n <= 64, and slots of at most
-# _PACK_MAX_WIDTH bits.
-_PACK_MIN_N = 7
-_PACK_MAX_SMALL_BITS = 64
-_PACK_MAX_WIDTH = 640
+class _LeftPascal(ExactMatrix):
+    """L_n as pascal.build_left returns it; mat_mul multiplies by it with
+    Pascal's rule. Only that builder constructs one."""
+
+    __slots__ = ()
 
 
-def _max_bits(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Bit length of the largest entry magnitude."""
-    return max(map(abs, chain.from_iterable(rows))).bit_length()
+class _RightPascal(ExactMatrix):
+    """R_n as pascal.build_right returns it; see _LeftPascal."""
+
+    __slots__ = ()
 
 
-def _packed_rows(scalars: tuple[tuple[int, ...], ...],
-                 big: tuple[tuple[int, ...], ...],
-                 width: int) -> tuple[tuple[int, ...], ...]:
-    """scalars @ big by Kronecker substitution with signed slots.
+def _taylor_shift(a: ExactMatrix, reverse: bool) -> ExactMatrix:
+    """a @ L_n, or a @ R_n when reverse is set, by Pascal's rule.
 
-    Row j of big becomes one int, the sum of big[j][k] << (k * width),
-    so row i of the product is the single sum of scalars[i][j] times
-    packed row j. Its k-th slot holds the dot product of row i and
-    column k, whose magnitude is below half the slot range when width
-    exceeds the two factors' entry bit lengths plus bits(n). A slot read
-    at or above that half is negative: it is taken less the full range,
-    and the slot above it gets back the 1 it lent.
+    Row i of a holds the coefficients of f(t) = sum_k a[i][k] t**k, and
+    row i of a @ L_n those of f(t + 1). Pass i = 0 .. n - 2 adds
+    coefficient k + 1 into coefficient k for k from n - 2 down to i
+    (Horner's scheme at t + 1), so n(n - 1)/2 steps in all, each one
+    column added into its left neighbour for every row at once. R_n is
+    L_n with its columns reversed.
     """
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    packed = []
-    for row in big:
-        acc = 0
-        for x in reversed(row):
-            acc = (acc << width) + x
-        packed.append(acc)
-    mul = operator.mul
-    n = len(big)
-    rows = []
-    for row in scalars:
-        acc = sum(map(mul, row, packed))
-        cells = []
-        for _ in range(n):
-            x = acc & mask
-            acc >>= width
-            if x >= half:
-                x -= mask + 1
-                acc += 1
-            cells.append(x)
-        rows.append(tuple(cells))
-    return tuple(rows)
+    n = a.n
+    add = operator.add
+    cols = list(zip(*a.rows))
+    for i in range(n - 1):
+        for k in range(n - 2, i - 1, -1):
+            cols[k] = tuple(map(add, cols[k], cols[k + 1]))
+    if reverse:
+        cols.reverse()
+    return _exact(n, tuple(zip(*cols)))
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product.
 
-    From n >= _PACK_MIN_N, when one factor's entries fit in
-    _PACK_MAX_SMALL_BITS bits and the slots in _PACK_MAX_WIDTH bits, the
-    factor with the larger entries is packed and the other one gives
-    the scalars: b's rows when a is the small one, and otherwise a's
-    columns, which gives the product's columns, (b^T a^T)^T.
+    When b is the L_n or R_n that the pascal builders return, a's rows
+    are Taylor-shifted by one (_taylor_shift); every other product takes
+    the n**2 dot products of a's rows and b's columns.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
-    if n >= _PACK_MIN_N:
-        a_bits, b_bits = _max_bits(a.rows), _max_bits(b.rows)
-        width = a_bits + b_bits + n.bit_length() + 1
-        if (min(a_bits, b_bits) <= _PACK_MAX_SMALL_BITS
-                and width <= _PACK_MAX_WIDTH):
-            if a_bits <= b_bits:
-                return _exact(n, _packed_rows(a.rows, b.rows, width))
-            cols = _packed_rows(tuple(zip(*b.rows)), tuple(zip(*a.rows)), width)
-            return _exact(n, tuple(zip(*cols)))
+    if type(b) is _LeftPascal or type(b) is _RightPascal:
+        return _taylor_shift(a, type(b) is _RightPascal)
     mul = operator.mul
     cols = tuple(zip(*b.rows))
-    return _exact(n, tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                           for row in a.rows))
+    return _exact(a.n, tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                             for row in a.rows))
 
 
 _M = TypeVar("_M", ExactMatrix, ModMatrix)
@@ -464,8 +435,9 @@ def charpoly(a: ExactMatrix) -> IntPolynomial:
     coefficients by Newton's identities, k c_{n-k} = -sum_{i<=k} c_{n-k+i}
     p_i with c_n = 1, a division that is exact over the integers. Each
     trace is one flat inner product, p_k = <a^ceil(k/2), (a^floor(k/2))^T>,
-    so a^2 .. a^ceil(n/2) suffice: ceil(n/2) - 1 products a a^j, with
-    two powers held at a time.
+    so a^2 .. a^ceil(n/2) suffice: ceil(n/2) - 1 products a^j a, with
+    two powers held at a time. Powers of a commute with a, so a^j a is
+    a a^j, and for a Pascal matrix it takes Pascal's rule (mat_mul).
     """
     n = a.n
     mul = operator.mul
@@ -483,7 +455,7 @@ def charpoly(a: ExactMatrix) -> IntPolynomial:
             sums[2 * j] = sum(map(mul, cur, cur_t))
         if j < half:
             prev_t = cur_t
-            power = mat_mul(a, power)
+            power = mat_mul(power, a)
     c = [0] * (n + 1)
     c[n] = 1
     for k in range(1, n + 1):

@@ -120,8 +120,9 @@ def verify_border_formulas(n: int, e: int) -> CellLawReport:
         a[1][j] = C(n-1, j-1) * F_{e-1}**(n-j) * F_e**(j-1)
         a[i][1] = F_{e-1}**(n-i) * F_e**(i-1)
 
-    under the 0**0 == 1 convention. checked_cells counts 2n (both
-    formulas over their full 1..n ranges; they agree at the corner).
+    under the 0**0 == 1 convention. The two agree at the corner (1, 1),
+    which the first row covers, so the column is checked from row 2 on
+    and checked_cells counts 2n - 1, each cell once, in row-major order.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -137,12 +138,12 @@ def verify_border_formulas(n: int, e: int) -> CellLawReport:
         rhs = binomial(n - 1, j) * prev_pows[n - 1 - j] * cur_pows[j]
         if lhs != rhs:
             failures.append((1, j + 1, lhs, rhs))
-    for i in range(n):
+    for i in range(1, n):
         lhs = rows[i][0]
         rhs = prev_pows[n - 1 - i] * cur_pows[i]
         if lhs != rhs:
             failures.append((i + 1, 1, lhs, rhs))
-    return CellLawReport("border-formulas", n, e, 2 * n, tuple(failures))
+    return CellLawReport("border-formulas", n, e, 2 * n - 1, tuple(failures))
 
 
 def verify_row_propagation(n: int, e: int) -> CellLawReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .core import ExactMatrix
+from .core import ExactMatrix, _LeftPascal, _RightPascal
 
 
 def binomial(a: int, b: int) -> int:
@@ -28,8 +28,10 @@ def binomial(a: int, b: int) -> int:
 
 
 # n -> L_n and n -> R_n, each built once. The values are immutable, so
-# every caller may share them. setdefault hands every caller the same
-# object even when two threads build the same n at once.
+# every caller may share them. They are core's marked subclasses, by
+# which core.mat_mul multiplies with Pascal's rule. setdefault hands
+# every caller the same object even when two threads build the same n
+# at once.
 _lefts: dict[int, ExactMatrix] = {}
 _rights: dict[int, ExactMatrix] = {}
 
@@ -41,7 +43,7 @@ def build_left(n: int) -> ExactMatrix:
         if n < 1:
             raise ValueError("dimension must be at least 1")
         left = _lefts.setdefault(
-            n, ExactMatrix.from_fn(n, lambda i, j: binomial(i - 1, j - 1)))
+            n, _LeftPascal.from_fn(n, lambda i, j: binomial(i - 1, j - 1)))
     return left
 
 
@@ -52,7 +54,7 @@ def build_right(n: int) -> ExactMatrix:
         if n < 1:
             raise ValueError("dimension must be at least 1")
         right = _rights.setdefault(
-            n, ExactMatrix.from_fn(n, lambda i, j: binomial(i - 1, n - j)))
+            n, _RightPascal.from_fn(n, lambda i, j: binomial(i - 1, n - j)))
     return right
 
 

@@ -12,8 +12,8 @@ constructors, and powers by binary exponentiation that multiplies into
 the identity.
 These are the slow paths that the library's math.comb binomials, prime
 fast paths, factor-removal order search, Gauss-Jordan inverse,
-power-sum characteristic polynomial, packed products and
-trusted-constructor kernels are tested against.
+power-sum characteristic polynomial, Pascal-rule and packed modular
+products and trusted-constructor kernels are tested against.
 
 The order-law verifiers take every matrix power afresh with the slow
 power and every Fibonacci value, entry point and period by iteration,
@@ -410,7 +410,7 @@ def verify_border_formulas_slow(n: int, e: int) -> laws.CellLawReport:
         checked += 1
         if lhs != rhs:
             failures.append((1, j, lhs, rhs))
-    for i in range(1, n + 1):
+    for i in range(2, n + 1):
         lhs = a.entry(i, 1)
         rhs = f_prev ** (n - i) * f_cur ** (i - 1)
         checked += 1

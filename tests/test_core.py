@@ -22,6 +22,7 @@ from pascalfib.core import (
 from pascalfib.pascal import build_left, build_right, left_inverse, right_inverse
 
 from oracles import (
+    binomial_triangle,
     charpoly_cofactor,
     charpoly_faddeev_leverrier,
     det_permanent_expansion,
@@ -271,21 +272,9 @@ def _transpose(m):
 
 
 class TestPackedExactMultiply:
-    """mat_mul packs the large-entry factor into signed slots of
-    bits(a) + bits(b) + bits(n) + 1 bits from n >= 7 when the other
-    factor's entries fit in 64 bits and the slots in 640 bits; the
-    generator product in tests/oracles.py packs nothing. Under forced
-    packing every dimension and size takes the packed path."""
-
-    @staticmethod
-    def check(a, b):
-        expected = mat_mul_slow(a, b)
-        assert mat_mul(a, b) == expected
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_PACK_MIN_N", 1)
-            mp.setattr(core, "_PACK_MAX_SMALL_BITS", 10**9)
-            mp.setattr(core, "_PACK_MAX_WIDTH", 10**9)
-            assert mat_mul(a, b) == expected
+    """mat_mul against the generator product in tests/oracles.py: by
+    Pascal's rule when the right factor comes from build_left or
+    build_right, by dot products otherwise."""
 
     # Shrinking matrices of big ints takes minutes; the parametrized
     # cases below are the small witnesses, so these skip the shrink.
@@ -294,76 +283,99 @@ class TestPackedExactMultiply:
     def test_small_times_huge_and_back(self, data, n, small, huge):
         a = _signed_matrix(data, n, small)
         b = _signed_matrix(data, n, huge)
-        self.check(a, b)
-        self.check(b, a)
+        assert mat_mul(a, b) == mat_mul_slow(a, b)
+        assert mat_mul(b, a) == mat_mul_slow(b, a)
 
     @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(st.data(), st.integers(1, 12), st.integers(0, 300), st.integers(0, 300))
     def test_random_signed_factors(self, data, n, a_bits, b_bits):
-        self.check(_signed_matrix(data, n, a_bits), _signed_matrix(data, n, b_bits))
+        a, b = _signed_matrix(data, n, a_bits), _signed_matrix(data, n, b_bits)
+        assert mat_mul(a, b) == mat_mul_slow(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8])
     def test_zero_factors(self, n):
         zero, m = zero_matrix(n), mat_pow(build_right(n), -5)
-        for a, b in ((zero, zero), (zero, m), (m, zero)):
-            self.check(a, b)
+        for a, b in ((zero, zero), (zero, m), (m, zero),
+                     (zero, build_left(n)), (zero, build_right(n))):
+            assert mat_mul(a, b) == mat_mul_slow(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 63, 64])
     @pytest.mark.parametrize("small, big",
                              [(1, 1), (3, 3), (2, 200), (60, 500), (31, 1000)])
     def test_largest_slots_next_to_zero_slots(self, n, small, big):
         # Every column of b is +, 0 or - its largest entry, and each row
-        # of a one sign, so every slot of a @ b is n * max|a| * max|b|
-        # in magnitude, or 0, with positive, zero and negative slots side
-        # by side. Short one bit of width, the full slots overflow at
-        # n = 3, 7, 12 and 63 once both bit lengths are at least 2.
+        # of a one sign, so every entry of a @ b is n * max|a| * max|b|
+        # in magnitude, or 0, with positive, zero and negative entries
+        # side by side.
         ma, mb = 2**small - 1, 2**big - 1
         a = ExactMatrix(n, tuple(((-1) ** i * ma,) * n for i in range(n)))
         b = ExactMatrix(n, tuple(tuple((1, 0, -1)[k % 3] * mb for k in range(n))
                                  for _ in range(n)))
-        self.check(a, b)
-        self.check(b, a)
-        self.check(_transpose(b), _transpose(a))
+        for x, y in ((a, b), (b, a), (_transpose(b), _transpose(a))):
+            assert mat_mul(x, y) == mat_mul_slow(x, y)
 
-    @pytest.mark.parametrize("n, a_bits, b_bits, packed", [
-        (6, 9, 9, False),       # below the dimension crossover
-        (7, 9, 9, True),
-        (7, 64, 200, True),     # the small factor at 64 bits
-        (7, 65, 200, False),    # at 65 bits: both factors large
-        (7, 200, 64, True),
-        (7, 200, 65, False),
-        (7, 64, 571, True),     # width 64 + 571 + 3 + 1 = 639
-        (7, 2, 634, True),      # width 640, the right factor large
-        (7, 634, 2, True),      # width 640, the left factor large
-        (7, 2, 635, False),     # width 641
-        (64, 60, 572, True),    # width 640 at n = 64
-        (64, 60, 573, False),
-    ])
-    def test_crossover(self, monkeypatch, n, a_bits, b_bits, packed):
-        calls = []
-        real = core._packed_rows
-
-        def counted(*args):
-            calls.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(core, "_packed_rows", counted)
-        # Each factor's largest entry is its (1, 1) entry, 2**bits - 1.
-        a = ExactMatrix.from_fn(n, lambda i, j: (-1) ** (i * j) * (2**a_bits - 1)
-                                // (i + j - 1))
-        b = ExactMatrix.from_fn(n, lambda i, j: (-1) ** (i + j) * (2**b_bits - 1) // j)
-        assert mat_mul(a, b) == mat_mul_slow(a, b)
-        assert len(calls) == int(packed)
-
-    @pytest.mark.parametrize("n", [7, 18, 48])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 18, 48, 64])
     def test_pascal_walk_steps(self, n):
-        # The walk steps P @ base, and the charpoly's base @ P, with
-        # negative and positive powers P.
-        for base in (build_left(n), build_right(n)):
+        # The walk steps P @ M, with negative and positive powers P, and
+        # M @ M, against the slow product of an unmarked copy of M.
+        for m in (build_left(n), build_right(n)):
+            plain = ExactMatrix(n, m.rows)
+            assert mat_mul(m, m) == mat_mul_slow(plain, plain)
             for e in (-9, -1, 2, 13):
-                power = mat_pow(base, e)
-                assert mat_mul(power, base) == mat_mul_slow(power, base)
-                assert mat_mul(base, power) == mat_mul_slow(base, power)
+                power = mat_pow(m, e)
+                assert mat_mul(power, m) == mat_mul_slow(power, plain)
+                assert mat_mul(m, power) == mat_mul_slow(plain, power)
+
+    @settings(max_examples=30, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.sampled_from([1, 2, 3, 7, 18, 48, 64]), st.integers(0, 300), st.randoms())
+    def test_signed_factor_times_pascal(self, n, bits, rnd):
+        # Drawn from a seeded Random: n**2 draws of the data would
+        # overrun Hypothesis's buffer at n = 64.
+        top = 2**bits - 1
+        a = ExactMatrix(n, tuple(
+            tuple(rnd.choice((0, top, -top, rnd.randint(-top, top))) for _ in range(n))
+            for _ in range(n)))
+        for m in (build_left(n), build_right(n)):
+            assert mat_mul(a, m) == mat_mul_slow(a, ExactMatrix(n, m.rows))
+
+
+class TestPascalMarker:
+    """build_left and build_right return core's marked subclasses, which
+    mat_mul multiplies by with Pascal's rule; nothing else is marked."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_builders_return_marked_values(self, n):
+        left, right = build_left(n), build_right(n)
+        assert type(left) is core._LeftPascal
+        assert type(right) is core._RightPascal
+        assert left == ExactMatrix.from_fn(n, lambda i, j: binomial_triangle(i - 1, j - 1))
+        assert right == ExactMatrix.from_fn(n, lambda i, j: binomial_triangle(i - 1, n - j))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_results_are_unmarked(self, n):
+        ident = ExactMatrix.identity(n)
+        for m in (build_left(n), build_right(n)):
+            values = [mat_mul(m, m), mat_mul(ident, m), mat_mul(m, ident),
+                      unimodular_inverse(m)]
+            values += [mat_pow(m, e) for e in (-3, -1, 0, 2, 5)]
+            assert all(type(v) is ExactMatrix for v in values)
+        assert type(left_inverse(n)) is ExactMatrix
+        assert type(right_inverse(n)) is ExactMatrix
+        # The one power that is the base itself.
+        assert mat_pow(build_right(n), 1) is build_right(n)
+
+    @pytest.mark.parametrize("build", [build_left, build_right])
+    def test_only_a_marked_right_factor_takes_pascals_rule(self, monkeypatch, build):
+        m = build(7)
+        power = mat_pow(m, 3)
+        plain = ExactMatrix(7, m.rows)
+        calls = []
+        real = core._taylor_shift
+        monkeypatch.setattr(core, "_taylor_shift",
+                            lambda a, reverse: calls.append(reverse) or real(a, reverse))
+        assert mat_mul(power, plain) == mat_mul(power, m)
+        assert mat_mul(m, power) == mat_mul(plain, power)
+        assert calls == [build is build_right]
 
 
 class TestMatMul:

@@ -112,7 +112,17 @@ class TestBorderFormulas:
         for e in range(1, 13):
             report = verify_border_formulas(n, e)
             assert report.passed, (n, e)
-            assert report.checked_cells == 2 * n
+            assert report.checked_cells == 2 * n - 1
+
+    def test_corner_is_checked_once(self, monkeypatch):
+        # R_3**2 has first column (1, 1, 1); with (1, 1) and (2, 1) bumped
+        # by one, each wrong cell is listed once, row-major.
+        monkeypatch.setattr(laws, "power", _corrupt_power([(0, 0, 1), (1, 0, 1)]))
+        report = verify_border_formulas(3, 2)
+        assert report.failures == ((1, 1, 2, 1), (2, 1, 2, 1))
+        assert report.checked_cells == 5
+        assert cli.LAW_REGISTRY["border-formulas"].check(n=3, e=2) == (
+            FAIL, {"i": 1, "j": 1, "lhs": "2", "rhs": "1", "failing_cells": 2})
 
 
 class TestRowExpansion:

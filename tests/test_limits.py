@@ -154,10 +154,29 @@ def test_the_seven_walked_laws_at_n_64_over_the_whole_e_range(tmp_path):
     assert peak_mb < 100, peak_mb
 
 
+def test_pascal_rule_products_at_n_64_over_the_whole_e_range(tmp_path):
+    # Every product by the built L_64 or R_64 in one campaign, each a
+    # Taylor shift: the walks of L_64 over e -64..64 and of R_64 over
+    # e 1..64, the products of the inverse closed forms with both, and
+    # the 31 products R_64^j @ R_64 of charpoly(R_64). Measured on a
+    # 2-vCPU x86_64 host: 3.9-4.6 s and 20 MB; 6.8-7.6 s with the
+    # packed and plain dot products that the shifts replaced.
+    code, stdout, seconds, peak_mb = run_cli(
+        tmp_path, "verify", "--laws",
+        "left-closed-form,fib-recurrence,border-formulas,row-propagation,"
+        "inverse-closed-forms,eigen-conjecture",
+        "--n", "64", "--e=-64..64")
+    assert code == 0
+    assert json.loads(stdout)["summary"] == {"pass": 129 + 64 + 64 + 63 + 1 + 1, "fail": 0}
+    assert seconds < 60, seconds
+    assert peak_mb < 100, peak_mb
+
+
 def test_eigen_conjecture_at_n_64(tmp_path):
-    # One charpoly(R_64): 31 products R_64 @ R_64^j and 64 trace inner
-    # products. Measured on a 2-vCPU x86_64 host: 1.2-1.8 s and 18 MB;
-    # the 64 products of Faddeev-LeVerrier took 2.2-2.4 s.
+    # One charpoly(R_64): 31 products R_64^j @ R_64 and 64 trace inner
+    # products. Measured on a 2-vCPU x86_64 host: 0.65-1.0 s and 18 MB;
+    # 1.0-1.3 s with the packed and plain dot products that the shifts
+    # replaced, and the 64 products of Faddeev-LeVerrier took 2.2-2.4 s.
     code, stdout, seconds, peak_mb = run_cli(
         tmp_path, "verify", "--laws", "eigen-conjecture", "--n", "64..64")
     assert code == 0
