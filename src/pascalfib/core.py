@@ -5,15 +5,14 @@ ints, so nothing ever rounds or overflows. Public accessors are 1-based
 (row i, column j with 1 <= i, j <= n); storage is a plain row-major
 tuple of tuples.
 
-The nontrivial algorithms are fraction-free. One Bareiss elimination
-loop, whose intermediate divisions are exact by construction, gives
-determinants, and run Gauss-Jordan style on [A | I] it gives the exact
-integer inverse of a unimodular matrix in O(n^3). Characteristic
-polynomials come from LeVerrier's power sums tr(a^k), k <= n, and
-Newton's identities, whose division by k is likewise exact over the
-integers. Each trace is one inner product of a^ceil(k/2) with the
-transpose of a^floor(k/2), so ceil(n/2) - 1 products suffice, half the
-n of the Faddeev-LeVerrier recursion, which the tests keep as an oracle.
+The nontrivial algorithms are fraction-free. Determinants come from
+Bareiss elimination, whose intermediate divisions are exact by
+construction. Characteristic polynomials come from LeVerrier's power
+sums tr(a^k), k <= n, and Newton's identities, whose division by k is
+likewise exact over the integers. Each trace is one inner product of
+a^ceil(k/2) with the transpose of a^floor(k/2), so ceil(n/2) - 1
+products suffice, half the n of the Faddeev-LeVerrier recursion, which
+the tests keep as an oracle.
 
 The value types are `typing.NamedTuple` records, not dataclasses, so a
 fresh process does not import `dataclasses` (and with it `inspect`,
@@ -49,6 +48,10 @@ plain matrices of the same entries, and mat_mul takes the shift when
 its right factor is one of them: in every walk step and in every
 charpoly product a^j a of a Pascal matrix. What mat_mul returns is a
 plain ExactMatrix, so every other product takes the n^2 dot products.
+The same shift run backwards, by one subtraction per step, gives
+f(t - 1) and so P @ L_n^-1; reversing P's columns first gives
+P @ R_n^-1. mat_pow takes a negative power of L_n or R_n as a power of
+that shift of I, and of no other matrix.
 
 Everything in this module is a pure function on immutable values, so
 instances may be shared freely across threads.
@@ -267,23 +270,29 @@ class _RightPascal(ExactMatrix):
     __slots__ = ()
 
 
-def _taylor_shift(a: ExactMatrix, reverse: bool) -> ExactMatrix:
-    """a @ L_n, or a @ R_n when reverse is set, by Pascal's rule.
+def _taylor_shift(a: ExactMatrix, reverse: bool, backward: bool = False) -> ExactMatrix:
+    """a @ L_n, or a @ R_n when reverse is set, by Pascal's rule; with
+    backward set, a @ L_n^-1, or a @ R_n^-1.
 
     Row i of a holds the coefficients of f(t) = sum_k a[i][k] t**k, and
     row i of a @ L_n those of f(t + 1). Pass i = 0 .. n - 2 adds
     coefficient k + 1 into coefficient k for k from n - 2 down to i
     (Horner's scheme at t + 1), so n(n - 1)/2 steps in all, each one
-    column added into its left neighbour for every row at once. R_n is
-    L_n with its columns reversed.
+    column added into its left neighbour for every row at once. The
+    backward shift subtracts instead, which gives f(t - 1), the
+    coefficients of a @ L_n^-1. R_n is L_n with its columns reversed,
+    so a @ R_n reverses the columns after the shift, and a @ R_n^-1,
+    R_n^-1 being L_n^-1 with its rows reversed, reverses them before.
     """
     n = a.n
-    add = operator.add
+    step = operator.sub if backward else operator.add
     cols = list(zip(*a.rows))
+    if reverse and backward:
+        cols.reverse()
     for i in range(n - 1):
         for k in range(n - 2, i - 1, -1):
-            cols[k] = tuple(map(add, cols[k], cols[k + 1]))
-    if reverse:
+            cols[k] = tuple(map(step, cols[k], cols[k + 1]))
+    if reverse and not backward:
         cols.reverse()
     return _exact(n, tuple(zip(*cols)))
 
@@ -330,11 +339,17 @@ def _power(a: _M, e: int, mul: Callable[[_M, _M], _M]) -> _M:
 def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
     """a**e by binary exponentiation; a**0 = I.
 
-    A negative exponent powers the Gauss-Jordan inverse, so it is
-    defined only for unimodular matrices, whose inverse stays integral.
+    A negative exponent is defined only for the L_n and R_n that the
+    pascal builders return, and raises ValueError for any other matrix:
+    a**e is then (a^-1)**-e, with a^-1 the backward Taylor shift of I
+    (_taylor_shift).
     """
     if e < 0:
-        return mat_pow(unimodular_inverse(a), -e)
+        if type(a) is not _LeftPascal and type(a) is not _RightPascal:
+            raise ValueError("negative powers are defined only for the built L_n and R_n")
+        inverse = _taylor_shift(ExactMatrix.identity(a.n), type(a) is _RightPascal,
+                                backward=True)
+        return mat_pow(inverse, -e)
     if e == 0:
         return ExactMatrix.identity(a.n)
     return _power(a, e, mat_mul)
@@ -386,22 +401,18 @@ def modmat_pow(a: ModMatrix, e: int) -> ModMatrix:
     return _power(a, e, modmat_mul)
 
 
-def _eliminate(m: list[list[int]], jordan: bool) -> int:
-    """Fraction-free Bareiss elimination of the n-row array m, in place;
-    returns the determinant of its leading n x n block.
+def det(a: ExactMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination.
 
     Step k swaps a nonzero pivot into m[k][k] and sets every entry right
-    of column k in the rows below it, and in the rows above it too when
-    jordan is set, to (m[i][j] * pivot - m[i][k] * m[k][j]) // the last
-    pivot. Each such division is exact by the Desnanot-Jacobi identity.
-    Columns up to k are left as they are, since no later step reads
-    them. A column with no pivot makes the block singular: the loop
-    stops and returns 0.
-
-    Run with jordan set on [A | I], it leaves d * A^-1 in the right
-    block, where d = m[n - 1][n - 1] is the last pivot.
+    of column k in the rows below it to (m[i][j] * pivot - m[i][k] *
+    m[k][j]) // the last pivot. Each such division is exact by the
+    Desnanot-Jacobi identity. Columns up to k are left as they are,
+    since no later step reads them. A column with no pivot makes the
+    matrix singular: the loop stops and returns 0.
     """
-    n = len(m)
+    m = [list(row) for row in a.rows]
+    n = a.n
     sign = 1
     prev = 1
     for k in range(n):
@@ -413,19 +424,12 @@ def _eliminate(m: list[list[int]], jordan: bool) -> int:
             sign = -sign
         pkk = m[k][k]
         tail_k = m[k][k + 1:]
-        for i in range(0 if jordan else k + 1, n):
-            if i != k:
-                row_i = m[i]
-                mik = row_i[k]
-                row_i[k + 1:] = [(x * pkk - mik * y) // prev
-                                 for x, y in zip(row_i[k + 1:], tail_k)]
+        for row_i in m[k + 1:]:
+            mik = row_i[k]
+            row_i[k + 1:] = [(x * pkk - mik * y) // prev
+                             for x, y in zip(row_i[k + 1:], tail_k)]
         prev = pkk
     return sign * prev
-
-
-def det(a: ExactMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    return _eliminate([list(row) for row in a.rows], jordan=False)
 
 
 def charpoly(a: ExactMatrix) -> IntPolynomial:
@@ -464,15 +468,3 @@ def charpoly(a: ExactMatrix) -> IntPolynomial:
             raise ArithmeticError("Newton identity division was not exact")
         c[n - k] = q
     return IntPolynomial(c)
-
-
-def unimodular_inverse(a: ExactMatrix) -> ExactMatrix:
-    """Exact integer inverse of a matrix with determinant +-1, by
-    fraction-free Gauss-Jordan elimination on [a | I]."""
-    n = a.n
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)]
-    if _eliminate(m, jordan=True) not in (1, -1):
-        raise ValueError("not unimodular over the integers")
-    # The right block is d * a^-1 for the last pivot d = +-1, so a^-1 = d * block.
-    d = m[n - 1][n - 1]
-    return _exact(n, tuple(tuple(d * x for x in row[n:]) for row in m))

@@ -138,9 +138,9 @@ def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
 
 def _scalar_of(m: ModMatrix) -> int | None:
     """s where m = s * I, or None if m is not a scalar matrix."""
-    s = m.rows[0][0]
-    scalar = ModMatrix.scalar(m.n, m.p, s)
-    return s if m == scalar else None
+    n, s = m.n, m.rows[0][0]
+    scalar = tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n))
+    return s if m.rows == scalar else None
 
 
 def verify_left_order(n: int, p: int) -> OrderReport:
@@ -207,12 +207,14 @@ def _right_facts(n: int, p: int) -> _RightFacts:
 
 
 def _right_order_data(n: int, p: int) -> _RightFacts:
-    if n < 2:
-        raise ValueError("right-matrix theorems require n >= 2")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """The memo's facts for (n, p). Only valid (n, p) are ever stored,
+    so n and p are checked on a miss alone."""
     facts = _right_orders.get((n, p))
     if facts is None:
+        if n < 2:
+            raise ValueError("right-matrix theorems require n >= 2")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         facts = _right_orders[(n, p)] = _right_facts(n, p)
     return facts
 

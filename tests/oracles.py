@@ -11,9 +11,9 @@ of x * y over zip whose results are re-validated by the public
 constructors, and powers by binary exponentiation that multiplies into
 the identity.
 These are the slow paths that the library's math.comb binomials, prime
-fast paths, factor-removal order search, Gauss-Jordan inverse,
-power-sum characteristic polynomial, Pascal-rule and packed modular
-products and trusted-constructor kernels are tested against.
+fast paths, factor-removal order search, power-sum characteristic
+polynomial, Pascal-rule products and inverses, packed modular products
+and trusted-constructor kernels are tested against.
 
 The order-law verifiers take every matrix power afresh with the slow
 power and every Fibonacci value, entry point and period by iteration,

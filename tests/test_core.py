@@ -17,7 +17,6 @@ from pascalfib.core import (
     modmat_pow,
     prime_factors,
     strip_prime_factors,
-    unimodular_inverse,
 )
 from pascalfib.pascal import build_left, build_right, left_inverse, right_inverse
 
@@ -44,25 +43,6 @@ def small_matrices(max_n=4, max_abs=6):
         lambda n: st.lists(
             st.lists(st.integers(-max_abs, max_abs), min_size=n, max_size=n),
             min_size=n, max_size=n).map(ExactMatrix.from_rows))
-
-
-def unimodular_matrices(max_n=4):
-    # Products of integer shears have determinant 1 exactly.
-    def build(args):
-        n, shears = args
-        m = ExactMatrix.identity(n)
-        for i, j, c in shears:
-            if i % n != j % n:
-                shear = ExactMatrix.from_fn(
-                    n, lambda a, b: int(a == b) + (c if (a - 1, b - 1) ==
-                                                   (i % n, j % n) else 0))
-                m = mat_mul(m, shear)
-        return m
-    return st.tuples(
-        st.integers(2, max_n),
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
-                           st.integers(-3, 3)), max_size=6),
-    ).map(build)
 
 
 class TestConstruction:
@@ -206,9 +186,11 @@ class TestKernelsMatchSlowPaths:
     def test_modmat_pow(self, a, e):
         assert modmat_pow(a, e) == modmat_pow_slow(a, e)
 
-    @given(unimodular_matrices(max_n=5), st.integers(1, 12))
-    def test_negative_powers(self, a, e):
-        assert mat_pow(a, -e) == mat_pow_slow(unimodular_inverse(a), e)
+    @given(st.sampled_from([build_left, build_right]), st.integers(1, 8),
+           st.integers(1, 12))
+    def test_negative_powers(self, build, n, e):
+        a = build(n)
+        assert mat_pow(a, -e) == mat_pow_slow(mat_pow(a, -1), e)
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_pascal_powers(self, n):
@@ -355,8 +337,7 @@ class TestPascalMarker:
     def test_results_are_unmarked(self, n):
         ident = ExactMatrix.identity(n)
         for m in (build_left(n), build_right(n)):
-            values = [mat_mul(m, m), mat_mul(ident, m), mat_mul(m, ident),
-                      unimodular_inverse(m)]
+            values = [mat_mul(m, m), mat_mul(ident, m), mat_mul(m, ident)]
             values += [mat_pow(m, e) for e in (-3, -1, 0, 2, 5)]
             assert all(type(v) is ExactMatrix for v in values)
         assert type(left_inverse(n)) is ExactMatrix
@@ -404,8 +385,9 @@ class TestMatPow:
         assert mat_pow(build_right(4), 0) == ExactMatrix.identity(4)
 
     def test_negative_power_uses_unimodular_inverse(self):
-        expected = ExactMatrix.from_rows([[1, 0, 0], [-1, 1, 0], [1, -2, 1]])
-        assert mat_pow(build_left(3), -1) == expected
+        # (-2)**(i-j) * C(i-1, j-1), the power closed form at e = -2.
+        expected = ExactMatrix.from_rows([[1, 0, 0], [-2, 1, 0], [4, -4, 1]])
+        assert mat_pow(build_left(3), -2) == expected
 
     def test_negative_power_requires_unimodular(self):
         with pytest.raises(ValueError):
@@ -606,56 +588,68 @@ def _count_mat_mul(monkeypatch) -> list[None]:
 
 
 class TestUnimodularInverse:
-    def test_identity(self):
-        assert unimodular_inverse(ExactMatrix.identity(4)) == ExactMatrix.identity(4)
+    """The inverses of L_n and R_n, as mat_pow(M, -1) makes them by the
+    backward Taylor shift of I."""
 
     def test_left_matrix_closed_form(self):
         expected = ExactMatrix.from_rows([[1, 0, 0], [-1, 1, 0], [1, -2, 1]])
-        assert unimodular_inverse(build_left(3)) == expected
+        assert mat_pow(build_left(3), -1) == expected
 
     def test_r2(self):
-        assert unimodular_inverse(R2) == ExactMatrix.from_rows([[-1, 1], [1, 0]])
-
-    def test_non_unimodular_rejected(self):
-        with pytest.raises(ValueError, match="unimodular"):
-            unimodular_inverse(ExactMatrix.from_rows([[2, 0], [0, 1]]))
-
-    @pytest.mark.parametrize("rows", [
-        [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
-        [[0, 0], [0, 1]],
-        [[1, 2], [2, 4]],
-    ])
-    def test_singular_rejected(self, rows):
-        # The elimination stops at the column with no pivot; the last
-        # diagonal entry it leaves behind is no determinant.
-        with pytest.raises(ValueError, match="unimodular"):
-            unimodular_inverse(ExactMatrix.from_rows(rows))
-
-    @given(unimodular_matrices())
-    def test_matches_faddeev_leverrier(self, a):
-        assert unimodular_inverse(a) == inverse_faddeev_leverrier(a)
+        assert mat_pow(build_right(2), -1) == ExactMatrix.from_rows([[-1, 1], [1, 0]])
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_pascal_matrices_match_faddeev_leverrier(self, n):
         for m in (build_left(n), build_right(n)):
-            assert unimodular_inverse(m) == inverse_faddeev_leverrier(m)
+            assert mat_pow(m, -1) == inverse_faddeev_leverrier(m)
 
     def test_pascal_matrices_at_n_64_match_closed_forms(self):
-        assert unimodular_inverse(build_left(64)) == left_inverse(64)
-        assert unimodular_inverse(build_right(64)) == right_inverse(64)
+        assert mat_pow(build_left(64), -1) == left_inverse(64)
+        assert mat_pow(build_right(64), -1) == right_inverse(64)
 
     @pytest.mark.parametrize("n", [1, 2, 17, 48])
     def test_makes_no_products(self, monkeypatch, n):
         calls = _count_mat_mul(monkeypatch)
-        unimodular_inverse(build_right(n))
+        mat_pow(build_right(n), -1)
         assert calls == []
 
-    @given(unimodular_matrices())
-    def test_two_sided_inverse(self, a):
-        inv = unimodular_inverse(a)
-        ident = ExactMatrix.identity(a.n)
-        assert mat_mul(a, inv) == ident
-        assert mat_mul(inv, a) == ident
+
+def _slow_inverse(build, n):
+    """Faddeev-LeVerrier where it is quick, the signed-binomial closed
+    forms above n = 18."""
+    if n <= 18:
+        return inverse_faddeev_leverrier(build(n))
+    return left_inverse(n) if build is build_left else right_inverse(n)
+
+
+class TestBackwardTaylorShift:
+    """mat_pow(M, -e) for the built L_n and R_n powers the backward
+    Taylor shift of I; nothing else has a negative power."""
+
+    @pytest.mark.parametrize("build", [build_left, build_right])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 18, 48, 64])
+    def test_matches_slow_powers_of_the_inverse(self, build, n):
+        inverse = _slow_inverse(build, n)
+        for e in (1, 2, 9, 64):
+            assert mat_pow(build(n), -e) == mat_pow_slow(inverse, e)
+
+    @pytest.mark.parametrize("build", [build_left, build_right])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 18, 48, 64])
+    def test_two_sided_inverse(self, build, n):
+        m = build(n)
+        inverse = mat_pow(m, -1)
+        ident = ExactMatrix.identity(n)
+        assert type(inverse) is ExactMatrix
+        assert mat_mul(m, inverse) == ident
+        assert mat_mul(inverse, m) == ident
+
+    @pytest.mark.parametrize("build", [build_left, build_right])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_unmarked_copy_has_no_negative_power(self, build, n):
+        plain = ExactMatrix(n, build(n).rows)
+        with pytest.raises(ValueError, match="negative powers"):
+            mat_pow(plain, -1)
+        assert mat_pow(plain, 0) == ExactMatrix.identity(n)
 
 
 class TestIntPolynomial:

@@ -231,6 +231,20 @@ def _count_calls(monkeypatch, module, name) -> list[int]:
     return counter
 
 
+def _count_backward_shifts(monkeypatch) -> list[int]:
+    """Count the backward Taylor shifts, one per inverse of L_n or R_n
+    that core.mat_pow makes, in counter[0]."""
+    counter = [0]
+    real = core._taylor_shift
+
+    def counted(a, reverse, backward=False):
+        counter[0] += backward
+        return real(a, reverse, backward)
+
+    monkeypatch.setattr(core, "_taylor_shift", counted)
+    return counter
+
+
 def _count_everywhere(monkeypatch, name) -> list[int]:
     """Count the calls of core.name through every pascalfib module that
     binds it, core itself included, in counter[0]."""
@@ -295,7 +309,7 @@ class TestPowerWalk:
     def test_walk_costs_one_multiply_per_step(self, monkeypatch):
         pows = _count_calls(monkeypatch, laws, "mat_pow")
         muls = _count_calls(monkeypatch, laws, "mat_mul")
-        inverses = _count_calls(monkeypatch, core, "unimodular_inverse")
+        inverses = _count_backward_shifts(monkeypatch)
         left = build_left(5)
         for e in range(-4, 5):
             laws.power(left, e)
@@ -399,8 +413,10 @@ class TestCampaignPowerCounts:
         # The exact laws over n 2..18 and e -8..18: one inverse of L_n per
         # n, with no product in it, and one charpoly of ceil(n/2) - 1
         # products per n.
-        counters = [_count_everywhere(monkeypatch, name)
-                    for name in ("mat_mul", "mat_pow", "unimodular_inverse", "charpoly")]
+        counters = [_count_everywhere(monkeypatch, "mat_mul"),
+                    _count_everywhere(monkeypatch, "mat_pow"),
+                    _count_backward_shifts(monkeypatch),
+                    _count_everywhere(monkeypatch, "charpoly")]
         names = ("left-closed-form", "square-recurrence", "cube-recurrence",
                  "fib-recurrence", "border-formulas", "row-expansion",
                  "row-propagation", "inverse-closed-forms", "eigen-conjecture",
@@ -453,8 +469,9 @@ class TestCampaignPowerCounts:
         # left-closed-form asks for L_n**e between the cell laws' R_n**e.
         # With one power held per base, each walk costs what it costs on
         # its own, and L_n is inverted once per n.
-        counters = [_count_calls(monkeypatch, module, name) for module, name in
-                    ((laws, "mat_pow"), (laws, "mat_mul"), (core, "unimodular_inverse"))]
+        counters = [_count_calls(monkeypatch, laws, "mat_pow"),
+                    _count_calls(monkeypatch, laws, "mat_mul"),
+                    _count_backward_shifts(monkeypatch)]
         cells = ("fib-recurrence", "border-formulas", "row-propagation")
         costs = []
         for names in (cells, ("left-closed-form",), cells + ("left-closed-form",)):
@@ -467,7 +484,7 @@ class TestCampaignPowerCounts:
         assert costs[2][2] == 3
 
     def test_left_closed_form_inverts_once(self, monkeypatch):
-        inverses = _count_calls(monkeypatch, core, "unimodular_inverse")
+        inverses = _count_backward_shifts(monkeypatch)
         cfg = cli.CampaignConfig(("left-closed-form",), n_range=(5, 5),
                                  e_range=(-4, 4))
         report = cli.run_campaign(cfg)

@@ -91,7 +91,7 @@ def test_scalar_power_near_1e5_stays_small(tmp_path):
 
 
 def test_right_matrix_power_minus_64_at_n_64(tmp_path):
-    # The negative power goes through the O(n^3) Gauss-Jordan inverse.
+    # The negative power squares R_64^-1, the backward Taylor shift of I.
     code, stdout, seconds, peak_mb = run_cli(tmp_path, "matrix", "right", "64", "pow", "-64")
     rows = stdout.decode().splitlines()
     assert code == 0
@@ -215,3 +215,13 @@ def test_fib_index_above_the_limit_exits_2(query, fmt):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr == b"error: index 1000001 exceeds the limit 1000000\n"
+
+
+@pytest.mark.parametrize("kind", ["left", "right"])
+def test_determinant_at_n_64(tmp_path, kind):
+    # Bareiss elimination over all 64 columns; about 20 ms in process.
+    code, stdout, seconds, peak_mb = run_cli(tmp_path, "matrix", kind, "64", "det")
+    assert code == 0
+    assert stdout == b"1\n"
+    assert seconds < 30, seconds
+    assert peak_mb < 100, peak_mb

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pascalfib import cli, modorder
+from pascalfib import cli, core, fib, modorder
 from pascalfib.core import ExactMatrix, ModMatrix, mat_mod
 from pascalfib.fib import entry_point
 from pascalfib.modorder import (
@@ -284,6 +284,27 @@ class TestRightOrderMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(len(found) == 1 for found in orders.values())
+
+    def test_a_memo_hit_calls_no_is_prime(self, monkeypatch):
+        # n and p are checked when the memo misses; only valid (n, p)
+        # are stored, so a hit checks nothing again.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        right_order_reports(4, 13)
+        calls = []
+        real = core.is_prime
+        for module in (core, fib, modorder):
+            monkeypatch.setattr(module, "is_prime", lambda p: calls.append(p) or real(p))
+        reports = right_order_reports(4, 13)
+        assert calls == []
+        assert all(report.passed for report in reports.values())
+
+    def test_invalid_n_or_p_is_refused_and_not_stored(self, monkeypatch):
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        for law in RIGHT_LAWS.values():
+            for n, p in ((1, 13), (4, 15), (4, 1)):
+                with pytest.raises(ValueError):
+                    law(n, p)
+        assert modorder._right_orders == {}
 
     def test_memo_holds_no_matrix(self, monkeypatch):
         # The ladder is dropped after the fill; only integers, booleans
