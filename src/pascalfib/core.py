@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over the integers and over prime fields.
+"""Exact dense linear algebra over the integers and modulo m >= 2.
 
 Matrices here are small (n <= 64), square, immutable, and hold Python
-ints, so nothing ever rounds or overflows. Public accessors are 1-based
-(row i, column j with 1 <= i, j <= n); storage is a plain row-major
-tuple of tuples.
+ints, so nothing ever rounds or overflows. Storage is a plain row-major
+tuple of tuples; from_fn's entry function is 1-based (row i, column j
+with 1 <= i, j <= n).
 
 The nontrivial algorithms are fraction-free. Determinants come from
 Bareiss elimination, whose intermediate divisions are exact by
@@ -20,13 +20,15 @@ fresh process does not import `dataclasses` (and with it `inspect`,
 or repeats like a tuple: `+`, and `*` with an int, raise TypeError.
 
 Validation happens at the API edge. The public constructors (the
-classes themselves, `from_rows`, `from_fn`, `identity`, `scalar`)
-and `mat_mod` check the shape, that entries are ints, and for
-`ModMatrix` that entries are residues and the modulus is prime, by
-Miller-Rabin. Products, powers and inverses of matrices that were
-already validated are built through the trusted constructors `_exact`
-and `_mod` (plain `tuple.__new__`), which check nothing, so a product
-costs only its arithmetic.
+classes themselves, `from_fn`, `identity`) and `mat_mod` check the
+shape, that entries are ints, and for `ModMatrix` that the modulus is
+at least 2 and entries are residues. Matrix arithmetic mod m needs no
+prime, so no constructor tests primality: the callers whose theorems
+need a prime (`cli`, the `modorder` and `fib` verifiers) check it with
+`is_prime` where their input enters. Products, powers and inverses of
+matrices that were already validated are built through the trusted
+constructors `_exact` and `_mod` (plain `tuple.__new__`), which check
+nothing, so a product costs only its arithmetic.
 
 Exact and modular powers share one square-and-multiply loop, `_power`,
 and differ only in the product they pass it and in what they do with
@@ -140,11 +142,6 @@ class ExactMatrix(_ExactFields):
         return tuple.__new__(cls, (n, rows))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ExactMatrix":
-        tup = tuple(tuple(row) for row in rows)
-        return cls(len(tup), tup)
-
-    @classmethod
     def from_fn(cls, n: int, fn: Callable[[int, int], int]) -> "ExactMatrix":
         """Build from a 1-based entry function fn(i, j)."""
         return cls(n, tuple(tuple(fn(i, j) for j in range(1, n + 1))
@@ -154,12 +151,6 @@ class ExactMatrix(_ExactFields):
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry at row i, column j (1-based)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"index ({i}, {j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
-
 
 class _ModFields(NamedTuple):
     n: int
@@ -168,7 +159,7 @@ class _ModFields(NamedTuple):
 
 
 class ModMatrix(_ModFields):
-    """Immutable square matrix of residues modulo a prime p."""
+    """Immutable square matrix of residues modulo p >= 2; p need not be prime."""
 
     __slots__ = ()
     __add__ = __mul__ = __rmul__ = None
@@ -176,8 +167,8 @@ class ModMatrix(_ModFields):
     def __new__(cls, n: int, p: int, rows: tuple[tuple[int, ...], ...]) -> "ModMatrix":
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        if p < 2:
+            raise ValueError("modulus must be at least 2")
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"entries do not form an {n}x{n} square")
         if any(not isinstance(x, int) or not 0 <= x < p for row in rows for x in row):
@@ -188,18 +179,6 @@ class ModMatrix(_ModFields):
     def identity(cls, n: int, p: int) -> "ModMatrix":
         return cls(n, p, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def scalar(cls, n: int, p: int, s: int) -> "ModMatrix":
-        """The scalar matrix (s mod p) * I."""
-        s %= p
-        return cls(n, p, tuple(tuple(s if i == j else 0 for j in range(n))
-                               for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"index ({i}, {j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
-
 
 def _exact(n: int, rows: tuple[tuple[int, ...], ...]) -> ExactMatrix:
     """ExactMatrix from rows already known to be an n x n grid of ints."""
@@ -207,7 +186,7 @@ def _exact(n: int, rows: tuple[tuple[int, ...], ...]) -> ExactMatrix:
 
 
 def _mod(n: int, p: int, rows: tuple[tuple[int, ...], ...]) -> ModMatrix:
-    """ModMatrix from rows already known to be n x n residues mod the prime p."""
+    """ModMatrix from rows already known to be n x n residues mod p >= 2."""
     return tuple.__new__(ModMatrix, (n, p, rows))
 
 
@@ -356,7 +335,7 @@ def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
 
 
 def mat_mod(a: ExactMatrix, p: int) -> ModMatrix:
-    """Entrywise reduction into canonical residues [0, p); p must be prime."""
+    """Entrywise reduction into canonical residues [0, p); p must be at least 2."""
     return ModMatrix(a.n, p, tuple(tuple(x % p for x in row) for row in a.rows))
 
 

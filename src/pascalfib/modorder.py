@@ -35,6 +35,7 @@ and surface as hypothesis-not-met rather than failures:
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .core import (ExactMatrix, ModMatrix, det, is_prime, mat_mod, modmat_mul,
@@ -73,7 +74,8 @@ class BoundNotAnnihilating(ValueError):
 
 
 class _Ladder:
-    """Powers of one matrix mod p, read off its repeated squares.
+    """Powers of one matrix m mod m.p, prime or not, read off its
+    repeated squares.
 
     The rung m**(2**k) is made by squaring the rung below it, the first
     time an exponent needs it, and m**e is the product of the rungs at
@@ -115,23 +117,25 @@ def _order(ladder: _Ladder, exponent_bound: int) -> int:
 
 
 def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
-    """Exact multiplicative order of m, given an annihilating exponent.
+    """Exact multiplicative order of the matrix m mod m.p, prime or not,
+    given an annihilating exponent.
 
     The order divides exponent_bound, so each prime factor q is removed
     from the bound while m**(bound/q) is still the identity; what is
     left is the least annihilating exponent. The powers come from one
     ladder of repeated squares of m.
 
-    A singular m has no power equal to the identity, so its search
-    stops at the first check; only then is the determinant read, to
-    tell a singular m from a bound that is not annihilating.
+    A matrix whose determinant shares a factor with the modulus is not
+    invertible, so no power of it is the identity and its search stops
+    at the first check; only then is the determinant read, to tell such
+    a singular m from a bound that is not annihilating.
     """
     if exponent_bound < 1:
         raise ValueError("exponent bound must be positive")
     try:
         return _order(_Ladder(m), exponent_bound)
     except BoundNotAnnihilating:
-        if det(ExactMatrix(m.n, m.rows)) % m.p == 0:
+        if gcd(det(ExactMatrix(m.n, m.rows)), m.p) != 1:
             raise ValueError(f"matrix is singular modulo {m.p}") from None
         raise
 

@@ -92,6 +92,26 @@ def charpoly_cofactor(m: ExactMatrix) -> IntPolynomial:
     return _poly_det(rows)
 
 
+def matrix_from_rows(rows) -> ExactMatrix:
+    """ExactMatrix from any square iterable of integer rows."""
+    rows = tuple(tuple(row) for row in rows)
+    return ExactMatrix(len(rows), rows)
+
+
+def entry(m: ExactMatrix | ModMatrix, i: int, j: int) -> int:
+    """Entry at row i, column j (1-based); IndexError outside 1..n."""
+    if not (1 <= i <= m.n and 1 <= j <= m.n):
+        raise IndexError(f"index ({i}, {j}) outside 1..{m.n}")
+    return m.rows[i - 1][j - 1]
+
+
+def scalar_mod(n: int, p: int, s: int) -> ModMatrix:
+    """The scalar matrix (s mod p) * I, checked by the ModMatrix constructor."""
+    s %= p
+    return ModMatrix(n, p, tuple(tuple(s if i == j else 0 for j in range(n))
+                                 for i in range(n)))
+
+
 def zero_matrix(n: int) -> ExactMatrix:
     """The n x n zero matrix."""
     return ExactMatrix(n, tuple((0,) * n for _ in range(n)))
@@ -210,7 +230,7 @@ def mat_mul_slow(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def modmat_mul_slow(a: ModMatrix, b: ModMatrix) -> ModMatrix:
-    """Product mod p, every result checked (Miller-Rabin included) by ModMatrix."""
+    """Product mod p, every result checked by the ModMatrix constructor."""
     if a.n != b.n or a.p != b.p:
         raise ValueError("dimension or modulus mismatch")
     p = a.p
@@ -307,10 +327,10 @@ def right_order_reports_slow(n: int, p: int, e: int | None = None) -> dict[str, 
         refined_id = "signed-scalar-odd"
     reports = {"scalar-power": report({
         "scalar-form": CheckResult(
-            PASS if re == ModMatrix.scalar(n, p, generic) else FAIL,
+            PASS if re == scalar_mod(n, p, generic) else FAIL,
             {"entry_point": e, "scalar": generic}),
         refined_id: CheckResult(
-            PASS if re == ModMatrix.scalar(n, p, refined) else FAIL, {"scalar": refined}),
+            PASS if re == scalar_mod(n, p, refined) else FAIL, {"scalar": refined}),
         "fourth-power-identity": CheckResult(PASS if order is not None else FAIL, {}),
     })}
     if order is None:
@@ -328,7 +348,7 @@ def right_order_reports_slow(n: int, p: int, e: int | None = None) -> dict[str, 
         pplus1 = CheckResult(HYPOTHESIS_NOT_MET, {})
     else:
         scalar = 1 if n % 2 == 1 else (p - 1) % p
-        ok = modmat_pow_slow(rm, p + 1) == ModMatrix.scalar(n, p, scalar)
+        ok = modmat_pow_slow(rm, p + 1) == scalar_mod(n, p, scalar)
         pplus1 = CheckResult(PASS if ok else FAIL, {"scalar": scalar})
     reports["p-plus-1"] = report({"p-plus-1-identity": pplus1})
 
@@ -360,8 +380,8 @@ def verify_square_recurrence_slow(n: int) -> laws.CellLawReport:
     failures = []
     for i in range(2, n + 1):
         for j in range(1, n):
-            lhs = b.entry(i, j + 1)
-            rhs = b.entry(i - 1, j + 1) + 2 * b.entry(i - 1, j) - b.entry(i, j)
+            lhs = entry(b, i, j + 1)
+            rhs = entry(b, i - 1, j + 1) + 2 * entry(b, i - 1, j) - entry(b, i, j)
             checked += 1
             if lhs != rhs:
                 failures.append((i, j + 1, lhs, rhs))
@@ -374,8 +394,8 @@ def verify_cube_recurrence_slow(n: int) -> laws.CellLawReport:
     failures = []
     for i in range(1, n):
         for j in range(2, n + 1):
-            lhs = c.entry(i + 1, j)
-            rhs = 2 * c.entry(i, j) + 3 * c.entry(i, j - 1) - 2 * c.entry(i + 1, j - 1)
+            lhs = entry(c, i + 1, j)
+            rhs = 2 * entry(c, i, j) + 3 * entry(c, i, j - 1) - 2 * entry(c, i + 1, j - 1)
             checked += 1
             if lhs != rhs:
                 failures.append((i + 1, j, lhs, rhs))
@@ -389,10 +409,10 @@ def verify_fib_recurrence_slow(n: int, e: int) -> laws.CellLawReport:
     failures = []
     for i in range(2, n + 1):
         for j in range(2, n + 1):
-            lhs = f_prev * a.entry(i, j)
-            rhs = (f_cur * a.entry(i - 1, j)
-                   + f_next * a.entry(i - 1, j - 1)
-                   - f_cur * a.entry(i, j - 1))
+            lhs = f_prev * entry(a, i, j)
+            rhs = (f_cur * entry(a, i - 1, j)
+                   + f_next * entry(a, i - 1, j - 1)
+                   - f_cur * entry(a, i, j - 1))
             checked += 1
             if lhs != rhs:
                 failures.append((i, j, lhs, rhs))
@@ -405,13 +425,13 @@ def verify_border_formulas_slow(n: int, e: int) -> laws.CellLawReport:
     checked = 0
     failures = []
     for j in range(1, n + 1):
-        lhs = a.entry(1, j)
+        lhs = entry(a, 1, j)
         rhs = binomial_triangle(n - 1, j - 1) * f_prev ** (n - j) * f_cur ** (j - 1)
         checked += 1
         if lhs != rhs:
             failures.append((1, j, lhs, rhs))
     for i in range(2, n + 1):
-        lhs = a.entry(i, 1)
+        lhs = entry(a, i, 1)
         rhs = f_prev ** (n - i) * f_cur ** (i - 1)
         checked += 1
         if lhs != rhs:
@@ -426,14 +446,14 @@ def verify_row_expansion_23_slow(n: int) -> laws.CellLawReport:
     failures = []
     for i in range(1, n):
         for j in range(1, n + 1):
-            lhs = b.entry(i + 1, j)
-            rhs = b.entry(i, j) - sum((-1) ** k * b.entry(i, j - k)
+            lhs = entry(b, i + 1, j)
+            rhs = entry(b, i, j) - sum((-1) ** k * entry(b, i, j - k)
                                       for k in range(1, j))
             checked += 1
             if lhs != rhs:
                 failures.append((i + 1, j, lhs, rhs))
-            lhs = c.entry(i + 1, j)
-            rhs = 2 * c.entry(i, j) + sum((-1) ** k * 2 ** (k - 1) * c.entry(i, j - k)
+            lhs = entry(c, i + 1, j)
+            rhs = 2 * entry(c, i, j) + sum((-1) ** k * 2 ** (k - 1) * entry(c, i, j - k)
                                           for k in range(1, j))
             checked += 1
             if lhs != rhs:
@@ -448,10 +468,10 @@ def verify_row_propagation_slow(n: int, e: int) -> laws.CellLawReport:
     failures = []
     for i in range(1, n):
         for j in range(1, n + 1):
-            lhs = f_prev ** j * a.entry(i + 1, j)
-            rhs = f_cur * f_prev ** (j - 1) * a.entry(i, j) - sum(
+            lhs = f_prev ** j * entry(a, i + 1, j)
+            rhs = f_cur * f_prev ** (j - 1) * entry(a, i, j) - sum(
                 (-1) ** (k + e) * f_cur ** (k - 1) * f_prev ** (j - 1 - k)
-                * a.entry(i, j - k)
+                * entry(a, i, j - k)
                 for k in range(1, j))
             checked += 1
             if lhs != rhs:
@@ -464,7 +484,7 @@ def left_closed_form_slow(n: int, e: int) -> tuple[int, int, int, int] | None:
     e**(i-j) C(i-1, j-1), or None."""
     power = laws.power(build_left(n), e)
     for i, j in product(range(1, n + 1), repeat=2):
-        lhs, rhs = power.entry(i, j), left_power_entry(e, i, j)
+        lhs, rhs = entry(power, i, j), left_power_entry(e, i, j)
         if lhs != rhs:
             return i, j, lhs, rhs
     return None

@@ -94,10 +94,19 @@ class TestMatrixCommand:
                         "--format", "csv")
         assert out == "3,5\n5,8\n"
 
-    def test_composite_modulus_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "matrix", "left", "3", "show", "--mod", "6")
-        assert code == 2
-        assert "prime" in err
+    # ModMatrix takes any modulus, so each command whose theorems need a
+    # prime refuses a composite itself, before it builds a matrix.
+    COMPOSITE_REFUSALS = {
+        "matrix left 3 show --mod 6": "modulus 6 is not prime",
+        "order right 4 9": "9 is not prime",
+        "verify --laws left-order --primes 4": "invalid prime 4 (must be prime, < 2^31)",
+        "fib bloom-wall 9": "bloom-wall requires an odd prime other than 5, got 9",
+    }
+
+    @pytest.mark.parametrize("argv", COMPOSITE_REFUSALS)
+    def test_composite_modulus_is_usage_error(self, capsys, argv):
+        message = self.COMPOSITE_REFUSALS[argv]
+        assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
     def test_pow_without_exponent(self, capsys):
         code, _, err = run(capsys, "matrix", "left", "3", "pow")
@@ -324,11 +333,6 @@ class TestVerifyCommand:
 
     def test_empty_range_rejected(self, capsys):
         assert run(capsys, "verify", "--laws", "mod2", "--n", "9..2")[0] == 2
-
-    def test_composite_prime_rejected(self, capsys):
-        code, _, _ = run(capsys, "verify", "--laws", "left-order",
-                         "--primes", "4")
-        assert code == 2
 
     def test_largest_prime_below_2_31_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "--laws", "bloom-wall",

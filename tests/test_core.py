@@ -25,9 +25,11 @@ from oracles import (
     charpoly_cofactor,
     charpoly_faddeev_leverrier,
     det_permanent_expansion,
+    entry,
     inverse_faddeev_leverrier,
     mat_mul_slow,
     mat_pow_slow,
+    matrix_from_rows,
     modmat_mul_slow,
     modmat_pow_slow,
     poly_at_matrix,
@@ -35,14 +37,14 @@ from oracles import (
     zero_matrix,
 )
 
-R2 = ExactMatrix.from_rows([[0, 1], [1, 1]])
+R2 = matrix_from_rows([[0, 1], [1, 1]])
 
 
 def small_matrices(max_n=4, max_abs=6):
     return st.integers(1, max_n).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-max_abs, max_abs), min_size=n, max_size=n),
-            min_size=n, max_size=n).map(ExactMatrix.from_rows))
+            min_size=n, max_size=n).map(matrix_from_rows))
 
 
 class TestConstruction:
@@ -59,14 +61,11 @@ class TestConstruction:
             ExactMatrix(1, ((1.5,),))
 
     def test_entry_is_one_based(self):
-        assert R2.entry(1, 2) == 1
-        assert R2.entry(2, 2) == 1
+        a = ExactMatrix.from_fn(2, lambda i, j: 10 * i + j)
+        assert a.rows == ((11, 12), (21, 22))
+        assert entry(a, 1, 2) == 12
         with pytest.raises(IndexError):
-            R2.entry(0, 1)
-
-    def test_modmatrix_requires_prime(self):
-        with pytest.raises(ValueError):
-            ModMatrix(1, 4, ((1,),))
+            entry(a, 0, 1)
 
     def test_modmatrix_requires_canonical_residues(self):
         with pytest.raises(ValueError):
@@ -79,7 +78,7 @@ class TestPublicConstructorsValidate:
     """Products skip validation, so every way in from outside must keep it."""
 
     @pytest.mark.parametrize("build", [
-        lambda: ExactMatrix.from_rows([[1, 2], [3, 4.0]]),
+        lambda: ExactMatrix(2, ((1, 2), (3, 4.0))),
         lambda: ExactMatrix.from_fn(2, lambda i, j: i / j),
         lambda: ExactMatrix(2, ((1, 2), (3, "4"))),
     ])
@@ -96,14 +95,24 @@ class TestPublicConstructorsValidate:
         with pytest.raises(ValueError, match="residues"):
             build()
 
+    # Matrix arithmetic needs no prime: a composite modulus builds.
     @pytest.mark.parametrize("build", [
         lambda: ModMatrix(1, 9, ((1,),)),
         lambda: ModMatrix.identity(3, 4),
-        lambda: ModMatrix.scalar(3, 91, 2),
+        lambda: ModMatrix(3, 91, ((2, 0, 0), (0, 2, 0), (0, 0, 2))),
         lambda: mat_mod(R2, 2**31 + 1),
     ])
     def test_composite_modulus(self, build):
-        with pytest.raises(ValueError, match="not prime"):
+        m = build()
+        assert modmat_mul(m, m) == modmat_mul_slow(m, m)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModMatrix(1, 1, ((0,),)),
+        lambda: ModMatrix.identity(3, 0),
+        lambda: mat_mod(R2, -7),
+    ])
+    def test_modulus_below_two(self, build):
+        with pytest.raises(ValueError, match="^modulus must be at least 2$"):
             build()
 
 
@@ -146,7 +155,7 @@ def mod_matrices(max_n=6):
                      st.integers(0, 2**31)).map(build)
 
 
-ONE_BY_ONE = ExactMatrix.from_rows([[-3]])
+ONE_BY_ONE = matrix_from_rows([[-3]])
 
 
 class TestKernelsMatchSlowPaths:
@@ -156,7 +165,7 @@ class TestKernelsMatchSlowPaths:
     @given(small_matrices(max_n=6, max_abs=9), st.integers(0, 2**20))
     @example(ONE_BY_ONE, 5)
     def test_mat_mul(self, a, shift):
-        b = ExactMatrix.from_rows([[x + shift for x in row] for row in reversed(a.rows)])
+        b = matrix_from_rows([[x + shift for x in row] for row in reversed(a.rows)])
         assert mat_mul(a, b) == mat_mul_slow(a, b)
 
     @given(mod_matrices())
@@ -228,6 +237,15 @@ class TestPackedModularMultiply:
                                   for i in range(n)))
         assert modmat_mul(a, b) == modmat_mul_slow(a, b)
         assert modmat_mul(b, a) == modmat_mul_slow(b, a)
+
+    def test_composite_modulus_at_the_limit(self):
+        # 2 * 1073741783, a composite just below 2^31. The slot width
+        # n * (m - 1)**2 does not use primality.
+        n, m = 64, 2147483566
+        a = ModMatrix(n, m, ((m - 1,) * n,) * n)
+        b = ModMatrix(n, m, tuple(tuple((m - 1 - 7 * i * j) * ((i + j) % 2)
+                                        for j in range(n)) for i in range(n)))
+        assert modmat_mul(a, b) == modmat_mul_slow(a, b)
 
     @given(st.data(), st.integers(1, 8), st.integers(2, 2**31 - 1).map(_next_prime))
     def test_random_residues(self, data, n, p):
@@ -365,7 +383,7 @@ class TestMatMul:
         assert mat_mul(ExactMatrix.identity(3), a) == a
 
     def test_r2_squared_hand_multiplied(self):
-        assert mat_mul(R2, R2) == ExactMatrix.from_rows([[1, 1], [1, 2]])
+        assert mat_mul(R2, R2) == matrix_from_rows([[1, 1], [1, 2]])
 
     def test_zero_annihilates(self):
         a = build_right(3)
@@ -379,19 +397,19 @@ class TestMatMul:
 class TestMatPow:
     def test_r2_fifth_power(self):
         # Fibonacci corner values: F_4, F_5, F_6.
-        assert mat_pow(R2, 5) == ExactMatrix.from_rows([[3, 5], [5, 8]])
+        assert mat_pow(R2, 5) == matrix_from_rows([[3, 5], [5, 8]])
 
     def test_zeroth_power_is_identity(self):
         assert mat_pow(build_right(4), 0) == ExactMatrix.identity(4)
 
     def test_negative_power_uses_unimodular_inverse(self):
         # (-2)**(i-j) * C(i-1, j-1), the power closed form at e = -2.
-        expected = ExactMatrix.from_rows([[1, 0, 0], [-2, 1, 0], [4, -4, 1]])
+        expected = matrix_from_rows([[1, 0, 0], [-2, 1, 0], [4, -4, 1]])
         assert mat_pow(build_left(3), -2) == expected
 
     def test_negative_power_requires_unimodular(self):
         with pytest.raises(ValueError):
-            mat_pow(ExactMatrix.from_rows([[2]]), -1)
+            mat_pow(matrix_from_rows([[2]]), -1)
 
     @given(small_matrices(max_n=3, max_abs=3), st.integers(0, 8), st.integers(0, 8))
     def test_power_additivity(self, a, e, f):
@@ -417,14 +435,14 @@ class TestModMatrix:
         assert reduced.rows == ((1, 0, 0), (1, 1, 0), (1, 0, 1))
 
     def test_mat_mod_canonical_residue(self):
-        assert mat_mod(ExactMatrix.from_rows([[-1]]), 5).rows == ((4,),)
+        assert mat_mod(matrix_from_rows([[-1]]), 5).rows == ((4,),)
 
     def test_mat_mod_already_reduced(self):
         assert mat_mod(R2, 2).rows == ((0, 1), (1, 1))
 
-    def test_mat_mod_rejects_composite(self):
-        with pytest.raises(ValueError):
-            mat_mod(R2, 6)
+    def test_power_mod_a_composite(self):
+        m = mat_mod(build_right(6), 12)
+        assert modmat_pow(m, 24) == mat_mod(mat_pow_slow(build_right(6), 24), 12)
 
     def test_left_square_identity_mod_2(self):
         m = mat_mod(build_left(4), 2)
@@ -506,10 +524,10 @@ class TestDet:
         assert det(build_right(n)) == (-1) ** (n // 2)
 
     def test_singular_matrix(self):
-        assert det(ExactMatrix.from_rows([[1, 2], [2, 4]])) == 0
+        assert det(matrix_from_rows([[1, 2], [2, 4]])) == 0
 
     def test_zero_pivot_needs_row_swap(self):
-        assert det(ExactMatrix.from_rows([[0, 1], [1, 0]])) == -1
+        assert det(matrix_from_rows([[0, 1], [1, 0]])) == -1
 
     @given(small_matrices(max_n=5, max_abs=4))
     def test_matches_permutation_oracle(self, a):
@@ -592,11 +610,11 @@ class TestUnimodularInverse:
     backward Taylor shift of I."""
 
     def test_left_matrix_closed_form(self):
-        expected = ExactMatrix.from_rows([[1, 0, 0], [-1, 1, 0], [1, -2, 1]])
+        expected = matrix_from_rows([[1, 0, 0], [-1, 1, 0], [1, -2, 1]])
         assert mat_pow(build_left(3), -1) == expected
 
     def test_r2(self):
-        assert mat_pow(build_right(2), -1) == ExactMatrix.from_rows([[-1, 1], [1, 0]])
+        assert mat_pow(build_right(2), -1) == matrix_from_rows([[-1, 1], [1, 0]])
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_pascal_matrices_match_faddeev_leverrier(self, n):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascalfib import cli, core, fib, modorder
-from pascalfib.core import ExactMatrix, ModMatrix, mat_mod
+from pascalfib.core import ModMatrix, mat_mod
 from pascalfib.fib import entry_point
 from pascalfib.modorder import (
     BoundNotAnnihilating,
@@ -23,6 +23,7 @@ from pascalfib.pascal import build_left, build_right
 from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
 from oracles import (
+    matrix_from_rows,
     matrix_order_by_divisors,
     primes_below,
     right_order_reports_slow,
@@ -61,12 +62,19 @@ class TestMatrixOrderMod:
             (ModMatrix(2, 7, ((1, 1), (0, 0))), 12),  # idempotent
             (ModMatrix(3, 11, ((0, 1, 5), (0, 0, 1), (0, 0, 0))), 40),  # nilpotent
             (ModMatrix(5, p, tuple(map(tuple, rank_four))), 2**31 - 2),
+            # det = 2: nonzero, but a zero divisor mod 4.
+            (ModMatrix(2, 4, ((2, 0), (0, 1))), 4),
         ]
         for m, bound in cases:
             start = time.perf_counter()
             with pytest.raises(ValueError, match=f"^matrix is singular modulo {m.p}$"):
                 matrix_order_mod(m, bound)
             assert time.perf_counter() - start < 1.0
+
+    def test_composite_modulus(self):
+        # The modulus need not be prime: R_6 mod 12 has order 24 = 2 e(12).
+        m = mat_mod(build_right(6), 12)
+        assert matrix_order_mod(m, 48) == 24 == matrix_order_by_divisors(m, 48)
 
     def test_order_divides_any_annihilating_bound(self):
         m = mat_mod(build_right(5), 11)
@@ -121,6 +129,12 @@ class TestLeftOrder:
     def test_n1_excluded(self):
         with pytest.raises(ValueError):
             verify_left_order(1, 3)
+
+    @pytest.mark.parametrize("verify", [verify_left_order, verify_scalar_power])
+    def test_composite_p_refused(self, verify):
+        # ModMatrix takes any modulus; the theorems' verifiers take primes.
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            verify(4, 9)
 
     @pytest.mark.parametrize("p", PRIMES_UNDER_100)
     def test_order_is_exactly_p_on_grid(self, p):
@@ -298,6 +312,23 @@ class TestRightOrderMemo:
         assert calls == []
         assert all(report.passed for report in reports.values())
 
+    def test_order_grid_campaign_is_prime_calls(self, monkeypatch, capsys):
+        # The seed-1 order-grid campaign: primality is checked where input
+        # enters and where a theorem needs a prime, never per matrix built.
+        # It made 512 calls while ModMatrix checked its modulus.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        monkeypatch.setattr(fib, "_mod_data", {})
+        calls = []
+        real = core.is_prime
+        for module in (core, fib, modorder, cli):
+            monkeypatch.setattr(module, "is_prime", lambda p: calls.append(p) or real(p))
+        assert cli.main([
+            "verify", "--laws", "mod2,left-order,scalar-power,p-minus-1,p-plus-1,"
+            "order-bound,bloom-wall,period-exactness", "--n", "2..8", "--primes",
+            "2,3,5,1567,5081,5519,7121,7219,8467,8563,9067"]) == 0
+        capsys.readouterr()
+        assert len(calls) <= 200
+
     def test_invalid_n_or_p_is_refused_and_not_stored(self, monkeypatch):
         monkeypatch.setattr(modorder, "_right_orders", {})
         for law in RIGHT_LAWS.values():
@@ -432,7 +463,7 @@ class TestFactsComeFromTheMatrix:
 
     @pytest.fixture(autouse=True)
     def four_cycle(self, monkeypatch):
-        cycle = ExactMatrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0],
+        cycle = matrix_from_rows([[0, 1, 0, 0], [0, 0, 1, 0],
                                        [0, 0, 0, 1], [1, 0, 0, 0]])
         monkeypatch.setattr(modorder, "_right_orders", {})
         monkeypatch.setattr(modorder, "build_right", lambda n: cycle)
