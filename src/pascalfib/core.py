@@ -22,7 +22,7 @@ or repeats like a tuple: `+`, and `*` with an int, raise TypeError.
 Validation happens at the API edge. The public constructors (the
 classes themselves, `from_fn`, `identity`) and `mat_mod` check the
 shape, that entries are ints, and for `ModMatrix` that the modulus is
-at least 2 and entries are residues. Matrix arithmetic mod m needs no
+an int of at least 2 and entries are residues. Matrix arithmetic mod m needs no
 prime, so no constructor tests primality: the callers whose theorems
 need a prime (`cli`, the `modorder` and `fib` verifiers) check it with
 `is_prime` where their input enters. Products, powers and inverses of
@@ -167,6 +167,8 @@ class ModMatrix(_ModFields):
     def __new__(cls, n: int, p: int, rows: tuple[tuple[int, ...], ...]) -> "ModMatrix":
         if n < 1:
             raise ValueError("dimension must be at least 1")
+        if not isinstance(p, int):
+            raise ValueError("modulus must be an exact integer")
         if p < 2:
             raise ValueError("modulus must be at least 2")
         if len(rows) != n or any(len(row) != n for row in rows):

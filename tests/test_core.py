@@ -81,6 +81,7 @@ class TestPublicConstructorsValidate:
         lambda: ExactMatrix(2, ((1, 2), (3, 4.0))),
         lambda: ExactMatrix.from_fn(2, lambda i, j: i / j),
         lambda: ExactMatrix(2, ((1, 2), (3, "4"))),
+        lambda: ModMatrix(1, 7.0, ((1,),)),
     ])
     def test_non_int_entries(self, build):
         with pytest.raises(ValueError, match="exact integer"):
@@ -217,10 +218,12 @@ def _next_prime(x):
 
 class TestPackedModularMultiply:
     """modmat_mul packs rows into slots of (n * (p - 1)**2).bit_length()
-    bits; the generator product in tests/oracles.py packs nothing."""
+    bits; the generator product in tests/oracles.py packs nothing. The
+    slot width does not use primality, so the moduli include the
+    composite 2147483566 = 2 * 1073741783."""
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64])
-    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 2147483566])
     def test_every_slot_at_its_largest_sum(self, n, p):
         # All entries p - 1, so every slot sums to n * (p - 1)**2, which
         # fills the slot width exactly.
@@ -228,7 +231,7 @@ class TestPackedModularMultiply:
         assert modmat_mul(a, a) == modmat_mul_slow(a, a)
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64])
-    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 2147483566])
     def test_largest_slots_next_to_zero_slots(self, n, p):
         # Rows of b alternate p - 1 and 0, so a carry out of a full slot
         # would show in the empty slot above it.
@@ -237,15 +240,6 @@ class TestPackedModularMultiply:
                                   for i in range(n)))
         assert modmat_mul(a, b) == modmat_mul_slow(a, b)
         assert modmat_mul(b, a) == modmat_mul_slow(b, a)
-
-    def test_composite_modulus_at_the_limit(self):
-        # 2 * 1073741783, a composite just below 2^31. The slot width
-        # n * (m - 1)**2 does not use primality.
-        n, m = 64, 2147483566
-        a = ModMatrix(n, m, ((m - 1,) * n,) * n)
-        b = ModMatrix(n, m, tuple(tuple((m - 1 - 7 * i * j) * ((i + j) % 2)
-                                        for j in range(n)) for i in range(n)))
-        assert modmat_mul(a, b) == modmat_mul_slow(a, b)
 
     @given(st.data(), st.integers(1, 8), st.integers(2, 2**31 - 1).map(_next_prime))
     def test_random_residues(self, data, n, p):

@@ -315,7 +315,6 @@ class TestRightOrderMemo:
     def test_order_grid_campaign_is_prime_calls(self, monkeypatch, capsys):
         # The seed-1 order-grid campaign: primality is checked where input
         # enters and where a theorem needs a prime, never per matrix built.
-        # It made 512 calls while ModMatrix checked its modulus.
         monkeypatch.setattr(modorder, "_right_orders", {})
         monkeypatch.setattr(fib, "_mod_data", {})
         calls = []
