@@ -45,7 +45,7 @@ from .fib import (
     period_exactness_check,
     pisano_period,
 )
-from .pascal import build_left, build_right, left_inverse, left_power_entry, right_inverse
+from .pascal import build_left, build_right, left_inverse, left_power_rows, right_inverse
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
 MAX_N = 64
@@ -431,11 +431,11 @@ def _check_mod2(n: int) -> Verdict:
 
 
 def _check_left_closed_form(n: int, e: int) -> Verdict:
-    rows = laws.power(build_left(n), e).rows
-    for i, j in itertools.product(range(1, n + 1), repeat=2):
-        lhs, rhs = rows[i - 1][j - 1], left_power_entry(e, i, j)
-        if lhs != rhs:
-            return FAIL, {"i": i, "j": j, "lhs": str(lhs), "rhs": str(rhs)}
+    walked = laws.power(build_left(n), e).rows
+    for i, (row, law_row) in enumerate(zip(walked, left_power_rows(n, e)), 1):
+        if row != law_row:
+            j = next(j for j in range(n) if row[j] != law_row[j])
+            return FAIL, {"i": i, "j": j + 1, "lhs": str(row[j]), "rhs": str(law_row[j])}
     return PASS, None
 
 
@@ -540,23 +540,28 @@ def _sort_key(check: Check) -> tuple:
     return (check["law"], params.get("n", 0), params.get("e", 0), params.get("p", 0))
 
 
-def _point(job: Job) -> tuple[int, int]:
-    params = job[1]
-    return params.get("n", 0), params.get("e", 0)
+def _walk_order(job: Job) -> tuple[int, int, int]:
+    """left-closed-form first, e ascending and n descending, so that one
+    walk of the largest L_n serves every n; then every other job by
+    (n, e)."""
+    name, params = job
+    n, e = params.get("n", 0), params.get("e", 0)
+    return (0, e, -n) if name == "left-closed-form" else (1, n, e)
 
 
 def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
     """Execute every requested law over its grid on the calling thread (a
     thread pool measured slower); deterministic report.
 
-    The jobs run grid point by grid point, in request order within a
-    point, so the laws at one (n, e) share the powers `laws.power` holds.
-    Under fail-fast they run in request order, because the partial
-    report depends on which checks ran before the first failure.
+    The jobs run in `_walk_order`, which keeps request order within a
+    grid point: every L_n**e that `laws.power` hands out is a block of
+    one walked L_N**e, and the laws at one (n, e) share the R_n**e it
+    holds. Under fail-fast they run in request order, because the
+    partial report depends on which checks ran before the first failure.
     """
     jobs = [job for name in cfg.laws for job in _grid(name, cfg)]
     if not cfg.fail_fast:
-        jobs.sort(key=_point)
+        jobs.sort(key=_walk_order)
     checks: list[Check] = []
     for job in jobs:
         check = _run(job)

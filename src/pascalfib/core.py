@@ -152,6 +152,13 @@ class ExactMatrix(_ExactFields):
         return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
+def _validate_modulus(p: int) -> None:
+    if not isinstance(p, int):
+        raise ValueError("modulus must be an exact integer")
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
+
+
 class _ModFields(NamedTuple):
     n: int
     p: int
@@ -167,10 +174,7 @@ class ModMatrix(_ModFields):
     def __new__(cls, n: int, p: int, rows: tuple[tuple[int, ...], ...]) -> "ModMatrix":
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not isinstance(p, int):
-            raise ValueError("modulus must be an exact integer")
-        if p < 2:
-            raise ValueError("modulus must be at least 2")
+        _validate_modulus(p)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"entries do not form an {n}x{n} square")
         if any(not isinstance(x, int) or not 0 <= x < p for row in rows for x in row):
@@ -337,7 +341,9 @@ def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
 
 
 def mat_mod(a: ExactMatrix, p: int) -> ModMatrix:
-    """Entrywise reduction into canonical residues [0, p); p must be at least 2."""
+    """Entrywise reduction into canonical residues [0, p); p must be an
+    int of at least 2, which is checked before any entry is reduced."""
+    _validate_modulus(p)
     return ModMatrix(a.n, p, tuple(tuple(x % p for x in row) for row in a.rows))
 
 

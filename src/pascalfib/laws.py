@@ -4,15 +4,19 @@ satisfied by powers of the column-justified Pascal matrix.
 Every verifier takes its power matrix from `power`, which computes it
 with core.mat_mul and core.mat_pow only, and compares the law's
 prediction against it, so the law under test shares no code with its
-oracle beyond plain matrix multiplication. A campaign runs its checks
-point by point, so at each (n, e) the cell laws ask for one R_n**e in
-a row, and left-closed-form asks for L_n**e between them; e rises by
-one from point to point. `power` therefore keeps the last power of
-each of the last two bases it was asked for, hands it back when asked
-again and steps it up with one multiply instead of starting again; it
-holds no other power, so at most two matrices per process. All
-comparisons are integer equalities; reports carry every failing cell
-as an (i, j, lhs, rhs) witness, in row-major order.
+oracle beyond plain matrix multiplication. `power` keeps the last
+power of each of the last two bases it was asked for, hands it back
+when asked again and steps it up with one multiply instead of starting
+again; it holds no other power, so at most two matrices per process.
+A campaign runs the cell laws point by point, so at each (n, e) they
+ask for one R_n**e in a row, and e rises by one from point to point.
+L_n is lower triangular, so for n <= N the leading n x n block of
+L_N**e is L_n**e, for every integer e. `power` reads L_n**e off a held
+L_N**e, stepped once if it was at e - 1, and a campaign asks for the
+left powers first, e ascending and n descending within each e, so one
+walk of the largest L_N serves every n. All comparisons are integer
+equalities; reports carry every failing cell as an (i, j, lhs, rhs)
+witness, in row-major order.
 
 Index ranges: the Fibonacci-coefficient recurrence comes with its
 stated range; the paper's square and cube recurrences are it at e = 2
@@ -26,9 +30,10 @@ convention at j = 1, so the verifier below pins the full grid.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
-from .core import ExactMatrix, mat_mul, mat_pow
+from .core import ExactMatrix, _exact, _LeftPascal, mat_mul, mat_pow
 from .fib import fib
 from .pascal import binomial, build_right
 
@@ -59,24 +64,36 @@ def power(base: ExactMatrix, e: int) -> ExactMatrix:
 
     If the last power held for the same base object is at e, the
     result is that power again; at e - 1 it is that power times base:
-    one multiply, and no inverse for negative e. Otherwise it is
-    core.mat_pow(base, e). One power is held for each of the last two
-    bases, so a campaign that alternates L_n and R_n at each (n, e)
-    walks both along e; the build_left/build_right memos hand out one
-    object per n, so the walks keep their bases. At most two matrices
-    are held per process.
+    one multiply, and no inverse for negative e. For a built L_n, a
+    power held for a built L_N with N > n serves too: the result is the
+    leading n x n block of power(L_N, e), which L_n's lower
+    triangularity makes equal to L_n**e, and L_N stays held in place
+    of L_n. Otherwise it is core.mat_pow(base, e). One power is held
+    for each of the last two bases; the build_left/build_right memos
+    hand out one object per n, so the walks keep their bases. At most
+    two matrices are held per process.
     """
     global _held
     held = _held
-    last = next((h for h in held if h[0] is base), None)
-    if last is not None and last[1] == e:
-        result = last[2]
-    elif last is not None and last[1] == e - 1:
-        result = mat_mul(last[2], base)
-    else:
+    last = next((h for h in held if e - 1 <= h[1] <= e and _serves(h[0], base)), None)
+    if last is not None and last[0] is not base:
+        n = base.n
+        return _exact(n, tuple(row[:n] for row in power(last[0], e).rows[:n]))
+    if last is None:
         result = mat_pow(base, e)
+    elif last[1] == e:
+        result = last[2]
+    else:
+        result = mat_mul(last[2], base)
     _held = ((base, e, result),) + tuple(h for h in held if h[0] is not base)[:1]
     return result
+
+
+def _serves(held: ExactMatrix, base: ExactMatrix) -> bool:
+    """Whether a power of `held` gives the same power of `base`: the
+    same object, or built L_N and L_n with N > n."""
+    return held is base or (type(held) is _LeftPascal and type(base) is _LeftPascal
+                            and held.n > base.n)
 
 
 def _right_power(n: int, e: int) -> ExactMatrix:
@@ -108,7 +125,7 @@ def verify_fib_recurrence(n: int, e: int) -> CellLawReport:
         up, row = rows[i - 1], rows[i]
         for j in range(1, n):
             lhs = f_prev * row[j]
-            rhs = f_cur * up[j] + f_next * up[j - 1] - f_cur * row[j - 1]
+            rhs = f_cur * (up[j] - row[j - 1]) + f_next * up[j - 1]
             if lhs != rhs:
                 failures.append((i + 1, j + 1, lhs, rhs))
     return CellLawReport("fib-recurrence", n, e, (n - 1) ** 2, tuple(failures))
@@ -161,7 +178,10 @@ def verify_row_propagation(n: int, e: int) -> CellLawReport:
     The sum is carried along the row, T_1 = 0 and
     T_{j+1} = -F_e T_j + (-1)**(1+e) F_{e-1}**(j-1) a[i][j]. That gives
     the same integers as summing each T_j afresh, in O(n**2) steps per
-    check instead of O(n**3).
+    check instead of O(n**3). Each cell's u = F_{e-1}**(j-1) a[i][j] is
+    formed once: it is T's term and F_e's factor in row i, and the lhs
+    of row i is F_{e-1} times it, so every other product is by F_{e-1},
+    F_e or the sign.
     """
     if n < 2:
         raise ValueError("expansion range is empty for n < 2")
@@ -170,15 +190,17 @@ def verify_row_propagation(n: int, e: int) -> CellLawReport:
     rows = _right_power(n, e).rows
     f_prev, f_cur = fib(e - 1), fib(e)
     sign = -1 if e % 2 == 0 else 1  # (-1)**(1+e)
-    prev_pows = [f_prev ** j for j in range(n + 1)]
+    prev_pows = [f_prev ** j for j in range(n)]
     failures = []
-    for i in range(n - 1):
-        row, down = rows[i], rows[i + 1]
+    scaled = list(map(mul, prev_pows, rows[0]))
+    for i in range(2, n + 1):
+        scaled_down = list(map(mul, prev_pows, rows[i - 1]))
         tail = 0
-        for j in range(n):
-            lhs = prev_pows[j + 1] * down[j]
-            rhs = f_cur * prev_pows[j] * row[j] - tail
+        for j, (u, u_down) in enumerate(zip(scaled, scaled_down), 1):
+            lhs = f_prev * u_down
+            rhs = f_cur * u - tail
             if lhs != rhs:
-                failures.append((i + 2, j + 1, lhs, rhs))
-            tail = sign * prev_pows[j] * row[j] - f_cur * tail
+                failures.append((i, j, lhs, rhs))
+            tail = sign * u - f_cur * tail
+        scaled = scaled_down
     return CellLawReport("row-propagation", n, e, (n - 1) * n, tuple(failures))

@@ -14,6 +14,7 @@ come from math.comb; the only state kept is the built L_n and R_n.
 from __future__ import annotations
 
 from math import comb
+from typing import Iterator
 
 from .core import ExactMatrix, _LeftPascal, _RightPascal
 
@@ -69,6 +70,17 @@ def left_power_entry(e: int, i: int, j: int) -> int:
     if j > i:
         return 0
     return e ** (i - j) * binomial(i - 1, j - 1)
+
+
+def left_power_rows(n: int, e: int) -> Iterator[tuple[int, ...]]:
+    """Rows 1..n of the e-th power of the n x n left Pascal matrix by
+    the closed form of left_power_entry, e**(i-j) * C(i-1, j-1), with
+    each e**k made once."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    pows = [e ** k for k in range(n)]
+    for i in range(n):
+        yield tuple(pows[i - j] * comb(i, j) for j in range(i + 1)) + (0,) * (n - 1 - i)
 
 
 def left_inverse(n: int) -> ExactMatrix:

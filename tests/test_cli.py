@@ -11,7 +11,7 @@ import pytest
 import pascalfib.fib as fib_module
 from pascalfib import cli, laws, modorder, spectra
 from pascalfib.fib import lucas
-from pascalfib.pascal import build_left, build_right, left_power_entry
+from pascalfib.pascal import build_left, build_right, left_power_rows
 from pascalfib.report import FAIL, PASS
 
 ALL_LAWS = ",".join(cli.LAW_REGISTRY)
@@ -658,8 +658,9 @@ class TestFailingWitnesses:
          lambda mp: mp.setattr(cli, "build_right", build_left),
          {"n": 3}, {"left_square": True, "right_cube": False}),
         ("left-closed-form", ("--n", "3", "--e=-2"),
-         lambda mp: mp.setattr(cli, "left_power_entry", lambda e, i, j:
-                               left_power_entry(e, i, j) + (i == 3 and j == 1)),
+         lambda mp: mp.setattr(cli, "left_power_rows", lambda n, e: (
+             tuple(x + (i == 3 and j == 1) for j, x in enumerate(row, 1))
+             for i, row in enumerate(left_power_rows(n, e), 1))),
          {"n": 3, "e": -2}, {"i": 3, "j": 1, "lhs": "4", "rhs": "5"}),
         ("square-recurrence", ("--n", "3"),
          lambda mp: _cell_failure(mp, "verify_fib_recurrence"),

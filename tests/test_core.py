@@ -111,6 +111,7 @@ class TestPublicConstructorsValidate:
         lambda: ModMatrix(1, 1, ((0,),)),
         lambda: ModMatrix.identity(3, 0),
         lambda: mat_mod(R2, -7),
+        lambda: mat_mod(R2, 0),
     ])
     def test_modulus_below_two(self, build):
         with pytest.raises(ValueError, match="^modulus must be at least 2$"):

@@ -332,6 +332,60 @@ class TestPowerWalk:
             mat_pow_slow(right, 3), mat_pow_slow(skewed, 4))
 
 
+class TestLeftBlocks:
+    """A held power of a built L_N serves every L_n, n <= N, as its
+    leading block."""
+
+    @pytest.mark.parametrize("wide", range(1, 9))
+    def test_blocks_match_slow_powers(self, monkeypatch, wide):
+        # L_N**e held at e or at e - 1: each L_n**e is read off it, with
+        # no power of L_n made.
+        pows = _count_calls(monkeypatch, laws, "mat_pow")
+        left = build_left(wide)
+        for e in range(-6, 9):
+            for n in range(1, wide + 1):
+                expected = _slow_power("left", n, e)
+                for held_at in (e - 1, e):
+                    monkeypatch.setattr(laws, "_held", ())
+                    laws.power(left, held_at)
+                    before = pows[0]
+                    assert laws.power(build_left(n), e) == expected, (n, e, held_at)
+                    assert pows[0] == before
+
+    def test_a_wider_power_is_held_in_place_of_the_block(self):
+        laws.power(build_left(6), 3)
+        laws.power(build_left(4), 3)
+        laws.power(build_left(2), 4)
+        assert [(base, e) for base, e, _ in laws._held] == [(build_left(6), 4)]
+
+    def test_a_narrower_or_distant_power_does_not_serve(self, monkeypatch):
+        pows = _count_calls(monkeypatch, laws, "mat_pow")
+        laws.power(build_left(3), 2)
+        laws.power(build_left(5), 2)
+        laws.power(build_left(4), 4)
+        assert pows[0] == 3
+
+    @pytest.mark.parametrize("wide, n, e, i, j", [
+        (6, 4, -3, 2, 1), (8, 8, 5, 8, 8), (5, 2, 0, 1, 2), (7, 3, 7, 3, 3),
+        (6, 6, -6, 4, 2), (6, 4, 2, 5, 1)])
+    def test_bumped_cell_of_the_held_power(self, monkeypatch, wide, n, e, i, j):
+        # Cell (i, j) of the held L_N**e bumped by one: the (n, e) check
+        # fails there if the cell is in the n x n block, and passes if not.
+        rows = [list(row) for row in _slow_power("left", wide, e).rows]
+        rows[i - 1][j - 1] += 1
+        monkeypatch.setattr(laws, "_held", (
+            (build_left(wide), e, oracles.matrix_from_rows(rows)),))
+        verdict, witness = cli._check_left_closed_form(n, e)
+        first = oracles.left_closed_form_slow(n, e)
+        if i > n or j > n:
+            assert (first, verdict, witness) == (None, PASS, None)
+        else:
+            assert first[:2] == (i, j)
+            _, _, lhs, rhs = first
+            assert (verdict, witness) == (
+                FAIL, {"i": i, "j": j, "lhs": str(lhs), "rhs": str(rhs)})
+
+
 def _corrupt_power(cells):
     """A stand-in for laws.power whose result has `delta` added at the
     0-based cells (i mod n, j mod n), in order."""
@@ -367,7 +421,7 @@ class TestRowIndexedLoops:
     """The row-indexed loops report exactly what the entry() loops report,
     on true powers and on powers with corrupted cells."""
 
-    @given(n=st.integers(2, 6), e=st.integers(2, 10), cells=corruptions)
+    @given(n=st.integers(2, 6), e=st.integers(2, 20), cells=corruptions)
     def test_cell_laws_match_entry_loops(self, n, e, cells):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(laws, "power", _corrupt_power(cells))
@@ -410,9 +464,10 @@ class TestCampaignPowerCounts:
         assert (pows[0], muls[0]) == (1, 9)
 
     def test_exact_grid_campaign(self, monkeypatch):
-        # The exact laws over n 2..18 and e -8..18: one inverse of L_n per
-        # n, with no product in it, and one charpoly of ceil(n/2) - 1
-        # products per n.
+        # The exact laws over n 2..18 and e -8..18: one walk of L_18, whose
+        # blocks serve left-closed-form at every n, from one inverse with
+        # no product in it, and one charpoly of ceil(n/2) - 1 products
+        # per n.
         counters = [_count_everywhere(monkeypatch, "mat_mul"),
                     _count_everywhere(monkeypatch, "mat_pow"),
                     _count_backward_shifts(monkeypatch),
@@ -424,7 +479,7 @@ class TestCampaignPowerCounts:
         cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(-8, 18))
         report = cli.run_campaign(cfg)
         assert report["summary"]["fail"] == 0
-        assert [counter[0] for counter in counters] == [990, 85, 17, 17]
+        assert [counter[0] for counter in counters] == [526, 53, 1, 17]
 
     def test_cell_laws_share_one_power(self, monkeypatch):
         # Three cell laws at one (n, e) ask for R_5**7 in a row: the
@@ -465,10 +520,11 @@ class TestCampaignPowerCounts:
             counts.append((pows[0] - before[0], muls[0] - before[1]))
         assert counts[0] == counts[1] == (3, 27)
 
-    def test_left_and_right_walks_interleave(self, monkeypatch):
-        # left-closed-form asks for L_n**e between the cell laws' R_n**e.
-        # With one power held per base, each walk costs what it costs on
-        # its own, and L_n is inverted once per n.
+    def test_left_and_right_walks_add_up(self, monkeypatch):
+        # left-closed-form runs first and walks L_4 alone, reading L_2**e
+        # and L_3**e off it; the cell laws then walk each R_n**e. So each
+        # walk costs what it costs on its own, and L is inverted once
+        # per campaign, not once per n.
         counters = [_count_calls(monkeypatch, laws, "mat_pow"),
                     _count_calls(monkeypatch, laws, "mat_mul"),
                     _count_backward_shifts(monkeypatch)]
@@ -480,8 +536,8 @@ class TestCampaignPowerCounts:
             report = cli.run_campaign(cfg)
             assert report["summary"]["fail"] == 0
             costs.append([counter[0] - b for counter, b in zip(counters, before)])
+        assert costs[1] == [1, 8, 1]
         assert costs[2] == [x + y for x, y in zip(costs[0], costs[1])]
-        assert costs[2][2] == 3
 
     def test_left_closed_form_inverts_once(self, monkeypatch):
         inverses = _count_backward_shifts(monkeypatch)
