@@ -540,13 +540,24 @@ def _sort_key(check: Check) -> tuple:
     return (check["law"], params.get("n", 0), params.get("e", 0), params.get("p", 0))
 
 
-def _walk_order(job: Job) -> tuple[int, int, int]:
+# Where a law on the n axis alone runs in the R_n walk. square-recurrence
+# asks for R_n**2 and cube-recurrence for R_n**3; row-expansion asks for
+# R_n**2 and then R_n**3, so it runs after every other check at e = 2 and
+# before every other check at e = 3; eigen-conjecture reads the traces of
+# the whole walk, so it runs after it.
+_WALK_POINT = {"square-recurrence": 2, "cube-recurrence": 3, "row-expansion": 2.5,
+               "eigen-conjecture": MAX_E + 1}
+
+
+def _walk_order(job: Job) -> tuple[int, float, float]:
     """left-closed-form first, e ascending and n descending, so that one
     walk of the largest L_n serves every n; then every other job by
-    (n, e)."""
+    (n, e), with the laws of _WALK_POINT at their place in the R_n walk."""
     name, params = job
     n, e = params.get("n", 0), params.get("e", 0)
-    return (0, e, -n) if name == "left-closed-form" else (1, n, e)
+    if name == "left-closed-form":
+        return (0, e, -n)
+    return (1, n, _WALK_POINT.get(name, e))
 
 
 def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
@@ -555,9 +566,12 @@ def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
 
     The jobs run in `_walk_order`, which keeps request order within a
     grid point: every L_n**e that `laws.power` hands out is a block of
-    one walked L_N**e, and the laws at one (n, e) share the R_n**e it
-    holds. Under fail-fast they run in request order, because the
-    partial report depends on which checks ran before the first failure.
+    one walked L_N**e, the laws at one (n, e) share the R_n**e it holds,
+    and eigen-conjecture at n reads the traces of the R_n walk. Under
+    fail-fast they run in request order, because the partial report
+    depends on which checks ran before the first failure; there each
+    law asks for its own powers and traces, and eigen-conjecture falls
+    back to core.charpoly when they are not held.
     """
     jobs = [job for name in cfg.laws for job in _grid(name, cfg)]
     if not cfg.fail_fast:

@@ -9,7 +9,8 @@ The nontrivial algorithms are fraction-free. Determinants come from
 Bareiss elimination, whose intermediate divisions are exact by
 construction. Characteristic polynomials come from LeVerrier's power
 sums tr(a^k), k <= n, and Newton's identities, whose division by k is
-likewise exact over the integers. Each trace is one inner product of
+likewise exact over the integers; charpoly_from_power_sums is that
+last step alone, for a caller that already holds the traces. Each trace is one inner product of
 a^ceil(k/2) with the transpose of a^floor(k/2), so ceil(n/2) - 1
 products suffice, half the n of the Faddeev-LeVerrier recursion, which
 the tests keep as an oracle.
@@ -422,35 +423,51 @@ def det(a: ExactMatrix) -> int:
 def charpoly(a: ExactMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - a), exact coefficients.
 
-    LeVerrier's power sums: the traces p_k = tr(a^k) for k <= n give the
-    coefficients by Newton's identities, k c_{n-k} = -sum_{i<=k} c_{n-k+i}
-    p_i with c_n = 1, a division that is exact over the integers. Each
-    trace is one flat inner product, p_k = <a^ceil(k/2), (a^floor(k/2))^T>,
-    so a^2 .. a^ceil(n/2) suffice: ceil(n/2) - 1 products a^j a, with
-    two powers held at a time. Powers of a commute with a, so a^j a is
-    a a^j, and for a Pascal matrix it takes Pascal's rule (mat_mul).
+    LeVerrier's power sums: the traces p_k = tr(a^k) for k <= n go
+    through charpoly_from_power_sums. Each trace is one flat inner
+    product, p_k = <a^ceil(k/2), (a^floor(k/2))^T>, so a^2 .. a^ceil(n/2)
+    suffice: ceil(n/2) - 1 products a^j a, with two powers held at a
+    time. Powers of a commute with a, so a^j a is a a^j, and for a
+    Pascal matrix it takes Pascal's rule (mat_mul). A campaign that
+    walks R_n^k for every k <= n already holds these traces, and
+    spectra reads them off that walk instead of calling this.
     """
     n = a.n
     mul = operator.mul
     flat = chain.from_iterable
     half = (n + 1) // 2
-    sums = [0] * (n + 1)
+    sums = [0] * n
     # The transpose of a^(j-1), flattened; a^0 = I is its own transpose.
     prev_t = tuple(flat(ExactMatrix.identity(n).rows))
     power = a
     for j in range(1, half + 1):
         cur = tuple(flat(power.rows))
         cur_t = tuple(flat(zip(*power.rows)))
-        sums[2 * j - 1] = sum(map(mul, cur, prev_t))
+        sums[2 * j - 2] = sum(map(mul, cur, prev_t))
         if 2 * j <= n:
-            sums[2 * j] = sum(map(mul, cur, cur_t))
+            sums[2 * j - 1] = sum(map(mul, cur, cur_t))
         if j < half:
             prev_t = cur_t
             power = mat_mul(power, a)
+    return charpoly_from_power_sums(sums)
+
+
+def charpoly_from_power_sums(sums: Iterable[int]) -> IntPolynomial:
+    """The monic degree-n polynomial whose roots have the power sums
+    sums = (p_1, .., p_n), p_k = tr(a^k) for a matrix a: its
+    characteristic polynomial.
+
+    Newton's identities, k c_{n-k} = -sum_{i<=k} c_{n-k+i} p_i with
+    c_n = 1, give the coefficients from the top down; each division by
+    k is exact over the integers when the sums are a matrix's traces,
+    and ArithmeticError is raised when one is not.
+    """
+    p = (0,) + tuple(sums)
+    n = len(p) - 1
     c = [0] * (n + 1)
     c[n] = 1
     for k in range(1, n + 1):
-        q, r = divmod(-sum(c[n - k + i] * sums[i] for i in range(1, k + 1)), k)
+        q, r = divmod(-sum(c[n - k + i] * p[i] for i in range(1, k + 1)), k)
         if r:
             raise ArithmeticError("Newton identity division was not exact")
         c[n - k] = q

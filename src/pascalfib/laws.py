@@ -8,6 +8,10 @@ oracle beyond plain matrix multiplication. `power` keeps the last
 power of each of the last two bases it was asked for, hands it back
 when asked again and steps it up with one multiply instead of starting
 again; it holds no other power, so at most two matrices per process.
+Beside each held power it keeps the traces of the walk that made it,
+tr(base**k) for k = 1..n when the walk stepped up from base**1, and
+drops them with the power: `power_sums` hands them to spectra, whose
+Newton step turns them into charpoly(R_n) without a product of its own.
 A campaign runs the cell laws point by point, so at each (n, e) they
 ask for one R_n**e in a row, and e rises by one from point to point.
 L_n is lower triangular, so for n <= N the leading n x n block of
@@ -52,11 +56,13 @@ class CellLawReport(NamedTuple):
         return not self.failures
 
 
-# The (base, e, base**e) that `power` last returned for each of the
-# last two bases it was asked for, most recent first. Each triple is
+# The (base, e, base**e, sums) that `power` last returned for each of
+# the last two bases it was asked for, most recent first. sums holds
+# tr(base**k) for k = 1..min(e, n) when the walk to e passed through
+# e = 1 one multiply at a time, and None otherwise. Each record is
 # immutable and `power` rebinds the tuple whole, so a thread that reads
-# a stale tuple still steps from a true power.
-_held: tuple[tuple[ExactMatrix, int, ExactMatrix], ...] = ()
+# a stale tuple still steps from a true power and true traces.
+_held: tuple[tuple[ExactMatrix, int, ExactMatrix, tuple[int, ...] | None], ...] = ()
 
 
 def power(base: ExactMatrix, e: int) -> ExactMatrix:
@@ -69,9 +75,10 @@ def power(base: ExactMatrix, e: int) -> ExactMatrix:
     leading n x n block of power(L_N, e), which L_n's lower
     triangularity makes equal to L_n**e, and L_N stays held in place
     of L_n. Otherwise it is core.mat_pow(base, e). One power is held
-    for each of the last two bases; the build_left/build_right memos
-    hand out one object per n, so the walks keep their bases. At most
-    two matrices are held per process.
+    for each of the last two bases, with the traces of its walk from
+    base**1 (see power_sums); the build_left/build_right memos hand out
+    one object per n, so the walks keep their bases. At most two
+    matrices and 2n traces are held per process.
     """
     global _held
     held = _held
@@ -80,13 +87,33 @@ def power(base: ExactMatrix, e: int) -> ExactMatrix:
         n = base.n
         return _exact(n, tuple(row[:n] for row in power(last[0], e).rows[:n]))
     if last is None:
-        result = mat_pow(base, e)
+        result, sums = mat_pow(base, e), None
     elif last[1] == e:
-        result = last[2]
+        result, sums = last[2], last[3]
     else:
-        result = mat_mul(last[2], base)
-    _held = ((base, e, result),) + tuple(h for h in held if h[0] is not base)[:1]
+        result, sums = mat_mul(last[2], base), last[3]
+        if sums is not None and e <= base.n:
+            sums += (_trace(result),)
+    if e == 1 and sums is None:
+        sums = (_trace(result),)
+    _held = ((base, e, result, sums),) + tuple(h for h in held if h[0] is not base)[:1]
     return result
+
+
+def power_sums(base: ExactMatrix) -> tuple[int, ...] | None:
+    """The power sums tr(base**k), k = 1..n, of the walk `power` holds
+    for this base object, or None when that walk did not step from
+    base**1 up to base**n one multiply at a time. They are read off
+    the powers the walk made, so they cost n additions per step and no
+    product of their own."""
+    record = next((h for h in _held if h[0] is base), None)
+    if record is None or record[3] is None or record[1] < base.n:
+        return None
+    return record[3]
+
+
+def _trace(m: ExactMatrix) -> int:
+    return sum(row[i] for i, row in enumerate(m.rows))
 
 
 def _serves(held: ExactMatrix, base: ExactMatrix) -> bool:

@@ -8,7 +8,8 @@ and every integer power of L_n has the closed form e**(i-j) * C(i-1, j-1).
 
 The 0**0 == 1 convention is used throughout (Python's ** already does
 this), which makes exponent 0 and diagonal entries uniform. Binomials
-come from math.comb; the only state kept is the built L_n and R_n.
+come from math.comb. The state kept is the built L_n and R_n, and the
+closed-form rows of L_N**e for the last e that left_power_rows served.
 """
 
 from __future__ import annotations
@@ -72,15 +73,31 @@ def left_power_entry(e: int, i: int, j: int) -> int:
     return e ** (i - j) * binomial(i - 1, j - 1)
 
 
+# (e, N, rows of L_N**e) as left_power_rows last built them. For n <= N
+# the rows of L_n**e are the first n rows of L_N**e, each cut to n
+# cells, and a campaign asks for each e with n descending, so one table
+# per e serves every n. The tuple is rebound whole.
+_left_rows: tuple[int, int, tuple[tuple[int, ...], ...]] = (0, 0, ())
+
+
 def left_power_rows(n: int, e: int) -> Iterator[tuple[int, ...]]:
     """Rows 1..n of the e-th power of the n x n left Pascal matrix by
-    the closed form of left_power_entry, e**(i-j) * C(i-1, j-1), with
-    each e**k made once."""
+    the closed form of left_power_entry, e**(i-j) * C(i-1, j-1).
+
+    The rows are cut from the table of the last wider or equal N asked
+    for at the same e; otherwise the table is built for N = n, with each
+    e**k made once, and kept in place of the last one.
+    """
+    global _left_rows
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    pows = [e ** k for k in range(n)]
-    for i in range(n):
-        yield tuple(pows[i - j] * comb(i, j) for j in range(i + 1)) + (0,) * (n - 1 - i)
+    held_e, wide, rows = _left_rows
+    if held_e != e or wide < n:
+        pows = [e ** k for k in range(n)]
+        rows = tuple(tuple(pows[i - j] * comb(i, j) for j in range(i + 1)) + (0,) * (n - 1 - i)
+                     for i in range(n))
+        _left_rows = (e, n, rows)
+    return (row[:n] for row in rows[:n])
 
 
 def left_inverse(n: int) -> ExactMatrix:

@@ -21,13 +21,23 @@ each conjugate pair is exactly the root set of the integer quadratic
 
 so the spectrum determines a monic integer polynomial that must equal
 the characteristic polynomial coefficient for coefficient.
+
+The computed side is charpoly(R_n) from its power sums tr(R_n**k),
+k = 1..n, by Newton's identities (core.charpoly_from_power_sums). A
+campaign that walks R_n**k for every k <= n before it checks n already
+made those powers, and laws.power_sums reads the traces off that walk;
+otherwise core.charpoly makes them. Either way the powers come from
+mat_mul and mat_pow alone, never from the conjectured spectrum. By the
+same identities, a closed form for tr(R_n**e) at e = 1..n would imply
+the conjecture at n; the check here stays the independent one.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import IntPolynomial, charpoly
+from . import laws
+from .core import IntPolynomial, charpoly, charpoly_from_power_sums
 from .fib import lucas
 from .pascal import build_right
 from .report import FAIL, PASS
@@ -68,11 +78,16 @@ def conjectured_charpoly(n: int) -> IntPolynomial:
 def check_eigen_conjecture(n: int) -> ConjectureReport:
     """Compare charpoly(R_n) with the conjectured polynomial, exactly.
 
-    A mismatch, which the symmetric-power argument rules out, would
-    point to a fault in charpoly or in the product, and is reported
-    with the lowest differing coefficient degree, never silenced.
+    charpoly(R_n) comes from the power sums of the R_n walk that
+    laws.power holds, when that walk stepped from R_n**1 to R_n**n, and
+    from core.charpoly otherwise. A mismatch, which the symmetric-power
+    argument rules out, would point to a fault in charpoly or in the
+    product, and is reported with the lowest differing coefficient
+    degree, never silenced.
     """
-    computed = charpoly(build_right(n))
+    right = build_right(n)
+    sums = laws.power_sums(right)
+    computed = charpoly(right) if sums is None else charpoly_from_power_sums(sums)
     conjectured = conjectured_charpoly(n)
     if computed == conjectured:
         return ConjectureReport(n, "even" if n % 2 == 0 else "odd",

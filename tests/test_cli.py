@@ -532,6 +532,19 @@ class TestExitCodeContract:
         assert out == FAIL_FAST_REPORT
 
 
+    def test_fail_fast_prints_what_the_walk_order_prints(self, capsys):
+        # A passing campaign reports the same bytes in request order,
+        # where eigen-conjecture runs before any walk and takes charpoly
+        # and the square, cube and row-expansion laws make their own
+        # powers, as in the walk order, where they read the R_n walk.
+        args = ("verify", "--laws", "eigen-conjecture,square-recurrence,cube-recurrence,"
+                "row-expansion,fib-recurrence,border-formulas,row-propagation",
+                "--n", "1..9", "--e", "1..9", "--format", "plain")
+        walked = run(capsys, *args)
+        assert walked[0] == 0
+        assert run(capsys, *args, "--fail-fast") == walked
+
+
 class TestFalseFourthPowerTheorem:
     """A wrong entry point makes R_n**(4e) != I: a fail verdict, exit 1."""
 

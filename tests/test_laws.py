@@ -1,5 +1,6 @@
 import sys
 import threading
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import mat_pow_slow
-from pascalfib import cli, core, laws
+from pascalfib import cli, core, laws, spectra
 from pascalfib.core import mat_pow
 from pascalfib.fib import fib
 from pascalfib.laws import (
@@ -319,7 +320,7 @@ class TestPowerWalk:
         for n in (2, 3, 4):
             laws.power(build_left(n), 2)
             laws.power(build_right(n), 3)
-        assert [(base, e) for base, e, _ in laws._held] == [
+        assert [(base, e) for base, e, *_ in laws._held] == [
             (build_right(4), 3), (build_left(4), 2)]
 
     def test_an_equal_but_distinct_base_is_not_stepped_from(self):
@@ -356,7 +357,7 @@ class TestLeftBlocks:
         laws.power(build_left(6), 3)
         laws.power(build_left(4), 3)
         laws.power(build_left(2), 4)
-        assert [(base, e) for base, e, _ in laws._held] == [(build_left(6), 4)]
+        assert [(base, e) for base, e, *_ in laws._held] == [(build_left(6), 4)]
 
     def test_a_narrower_or_distant_power_does_not_serve(self, monkeypatch):
         pows = _count_calls(monkeypatch, laws, "mat_pow")
@@ -374,7 +375,7 @@ class TestLeftBlocks:
         rows = [list(row) for row in _slow_power("left", wide, e).rows]
         rows[i - 1][j - 1] += 1
         monkeypatch.setattr(laws, "_held", (
-            (build_left(wide), e, oracles.matrix_from_rows(rows)),))
+            (build_left(wide), e, oracles.matrix_from_rows(rows), None),))
         verdict, witness = cli._check_left_closed_form(n, e)
         first = oracles.left_closed_form_slow(n, e)
         if i > n or j > n:
@@ -384,6 +385,64 @@ class TestLeftBlocks:
             _, _, lhs, rhs = first
             assert (verdict, witness) == (
                 FAIL, {"i": i, "j": j, "lhs": str(lhs), "rhs": str(rhs)})
+
+
+class TestWalkPowerSums:
+    """The traces tr(R_n**k), k = 1..n, that laws.power keeps beside a walk
+    from R_n**1, and the characteristic polynomial spectra makes of them."""
+
+    @staticmethod
+    def _slow_sums(right):
+        return tuple(oracles.trace(mat_pow_slow(right, k)) for k in range(1, right.n + 1))
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_walked_sums_give_charpoly(self, monkeypatch, n):
+        # R_n and then R_{n-1} walked over e 1..n: both are held, each
+        # with its own sums, and neither may stand in for the other.
+        walked = [build_right(k) for k in (n, n - 1) if k]
+        for right in walked:
+            for e in range(1, n + 1):
+                laws.power(right, e)
+        for right in walked:
+            charpolys = _count_everywhere(monkeypatch, "charpoly")
+            assert laws.power_sums(right) == self._slow_sums(right)
+            report = spectra.check_eigen_conjecture(right.n)
+            assert (report.passed, charpolys[0]) == (True, 0)
+            assert report.computed_charpoly == core.charpoly(right)
+            assert report.computed_charpoly == oracles.charpoly_faddeev_leverrier(right)
+
+    @pytest.mark.parametrize("start", [-3, 0, 1])
+    def test_a_walk_through_one_keeps_n_sums(self, start):
+        # A walk that steps through R_n**1 holds the sums from there on,
+        # and keeps n of them past e = n.
+        right = build_right(4)
+        for e in range(start, 4):
+            laws.power(right, e)
+            assert laws.power_sums(right) is None
+        for e in range(4, 9):
+            laws.power(right, e)
+            assert laws.power_sums(right) == self._slow_sums(right)
+
+    @pytest.mark.parametrize("restart", [2, 6])
+    def test_a_restart_drops_the_sums(self, monkeypatch, restart):
+        # R_5 walked over 1..3 and then from a step down (2) or a jump (6)
+        # to 8: that walk did not step up from R_5**1, so it holds no
+        # sums, and eigen-conjecture at 5 takes charpoly instead.
+        right = build_right(5)
+        for e in chain(range(1, 4), range(restart, 9)):
+            laws.power(right, e)
+        assert laws.power_sums(right) is None
+        charpolys = _count_everywhere(monkeypatch, "charpoly")
+        report = spectra.check_eigen_conjecture(5)
+        assert (report.passed, charpolys[0]) == (True, 1)
+
+    def test_the_sums_leave_with_the_walk(self):
+        right = build_right(3)
+        for e in range(1, 4):
+            laws.power(right, e)
+        laws.power(build_right(4), 2)
+        laws.power(build_left(4), 2)
+        assert laws.power_sums(right) is None
 
 
 def _corrupt_power(cells):
@@ -464,10 +523,21 @@ class TestCampaignPowerCounts:
         assert (pows[0], muls[0]) == (1, 9)
 
     def test_exact_grid_campaign(self, monkeypatch):
-        # The exact laws over n 2..18 and e -8..18: one walk of L_18, whose
-        # blocks serve left-closed-form at every n, from one inverse with
-        # no product in it, and one charpoly of ceil(n/2) - 1 products
-        # per n.
+        # The exact laws over n 2..18 and e -8..18.
+        # - mat_mul: 29 for one walk of L_18, whose blocks serve
+        #   left-closed-form at every n (mat_pow(L_18, -8) squares the
+        #   backward shift of I three times, then 26 steps to e = 18);
+        #   289 for the R walks, 17 steps from R_n**1 = R_n to R_n**18
+        #   for each of 17 n; and 68 for inverse-closed-forms, 4 per n:
+        #   386. The square, cube and row-expansion laws ask for R_n**2
+        #   and R_n**3 inside the walk, and eigen-conjecture reads its
+        #   power sums off it. Before they did, 68 products restarted
+        #   R_n**2 and R_n**3 (4 per n) and charpoly made 72
+        #   (ceil(n/2) - 1 per n): 526.
+        # - mat_pow: 2 for L_18**-8 (it powers the inverse), and one
+        #   mat_pow(R_n, 1) per n: 19. Before, square-recurrence and
+        #   row-expansion each restarted at R_n**2: 53.
+        # - One backward shift, for L_18**-8, and no charpoly call (17).
         counters = [_count_everywhere(monkeypatch, "mat_mul"),
                     _count_everywhere(monkeypatch, "mat_pow"),
                     _count_backward_shifts(monkeypatch),
@@ -479,7 +549,22 @@ class TestCampaignPowerCounts:
         cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(-8, 18))
         report = cli.run_campaign(cfg)
         assert report["summary"]["fail"] == 0
-        assert [counter[0] for counter in counters] == [526, 53, 1, 17]
+        assert [counter[0] for counter in counters] == [386, 19, 1, 0]
+
+    @pytest.mark.parametrize("names, e_hi, charpolys", [
+        (("eigen-conjecture",), 18, 17),
+        (("fib-recurrence", "eigen-conjecture"), 18, 0),
+        (("eigen-conjecture", "fib-recurrence"), 18, 0),
+        (("fib-recurrence", "eigen-conjecture"), 10, 8)])
+    def test_eigen_conjecture_reads_the_walk(self, monkeypatch, names, e_hi, charpolys):
+        # eigen-conjecture at n runs after the R_n walk, whatever the
+        # request order, and calls charpoly only where no walk from
+        # R_n**1 reached R_n**n: every n alone, and n 11..18 for e <= 10.
+        counter = _count_everywhere(monkeypatch, "charpoly")
+        cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(1, e_hi))
+        report = cli.run_campaign(cfg)
+        assert report["summary"]["fail"] == 0
+        assert counter[0] == charpolys
 
     def test_cell_laws_share_one_power(self, monkeypatch):
         # Three cell laws at one (n, e) ask for R_5**7 in a row: the

@@ -169,10 +169,12 @@ def test_the_seven_walked_laws_at_n_64_over_the_whole_e_range(tmp_path):
 def test_pascal_rule_products_at_n_64_over_the_whole_e_range(tmp_path):
     # Every product by the built L_64 or R_64 in one campaign, each a
     # Taylor shift: the walks of L_64 over e -64..64 and of R_64 over
-    # e 1..64, the products of the inverse closed forms with both, and
-    # the 31 products R_64^j @ R_64 of charpoly(R_64). Measured on a
-    # 2-vCPU x86_64 host: 3.9-4.6 s and 20 MB; 6.8-7.6 s with the
-    # packed and plain dot products that the shifts replaced.
+    # e 1..64, and the products of the inverse closed forms with both.
+    # eigen-conjecture makes no product: it reads tr(R_64^k), k 1..64,
+    # off the R_64 walk. Measured on a 2-vCPU x86_64 host: 3.9-4.6 s
+    # and 20 MB, when charpoly(R_64) still made 31 products
+    # R_64^j @ R_64; 6.8-7.6 s with the packed and plain dot products
+    # that the shifts replaced.
     code, stdout, seconds, peak_mb = run_cli(
         tmp_path, "verify", "--laws",
         "left-closed-form,fib-recurrence,border-formulas,row-propagation,"

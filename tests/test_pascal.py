@@ -13,6 +13,7 @@ from pascalfib.pascal import (
     build_right,
     left_inverse,
     left_power_entry,
+    left_power_rows,
     right_inverse,
 )
 from oracles import binomial_triangle, entry, matrix_from_rows
@@ -160,6 +161,28 @@ class TestLeftPowerEntry:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert entry(inv, i, j) == left_power_entry(-1, i, j)
+
+
+class TestLeftPowerRows:
+    """left_power_rows cuts L_n**e out of the last table it built at e."""
+
+    @pytest.mark.parametrize("dims", [(8, 5, 3, 1), (1, 3, 5, 8), (4, 8, 2, 6, 1)])
+    def test_rows_match_the_entry_closed_form(self, monkeypatch, dims):
+        monkeypatch.setattr(pascal, "_left_rows", (0, 0, ()))
+        for e in range(-6, 9):
+            for n in dims:
+                assert list(left_power_rows(n, e)) == [
+                    tuple(left_power_entry(e, i, j) for j in range(1, n + 1))
+                    for i in range(1, n + 1)], (n, e)
+
+    def test_one_table_per_e_in_descending_n(self, monkeypatch):
+        monkeypatch.setattr(pascal, "_left_rows", (0, 0, ()))
+        builds = []
+        real = pascal.comb
+        monkeypatch.setattr(pascal, "comb", lambda a, b: builds.append(a) or real(a, b))
+        for n in (6, 4, 1):
+            list(left_power_rows(n, 3))
+        assert len(builds) == 6 * 7 // 2
 
 
 class TestInverses:
