@@ -10,10 +10,10 @@ Bareiss elimination, whose intermediate divisions are exact by
 construction. Characteristic polynomials come from LeVerrier's power
 sums tr(a^k), k <= n, and Newton's identities, whose division by k is
 likewise exact over the integers; charpoly_from_power_sums is that
-last step alone, for a caller that already holds the traces. Each trace is one inner product of
-a^ceil(k/2) with the transpose of a^floor(k/2), so ceil(n/2) - 1
-products suffice, half the n of the Faddeev-LeVerrier recursion, which
-the tests keep as an oracle.
+last step alone, for a caller that already holds the traces. Each
+trace is one inner product of a^ceil(k/2) with the transpose of
+a^floor(k/2), so ceil(n/2) - 1 products suffice, half the n of the
+Faddeev-LeVerrier recursion, which the tests keep as an oracle.
 
 The value types are `typing.NamedTuple` records, not dataclasses, so a
 fresh process does not import `dataclasses` (and with it `inspect`,
@@ -462,12 +462,12 @@ def charpoly_from_power_sums(sums: Iterable[int]) -> IntPolynomial:
     k is exact over the integers when the sums are a matrix's traces,
     and ArithmeticError is raised when one is not.
     """
-    p = (0,) + tuple(sums)
-    n = len(p) - 1
+    p = tuple(sums)
+    n = len(p)
     c = [0] * (n + 1)
     c[n] = 1
     for k in range(1, n + 1):
-        q, r = divmod(-sum(c[n - k + i] * p[i] for i in range(1, k + 1)), k)
+        q, r = divmod(-sum(c[n - k + i] * p[i - 1] for i in range(1, k + 1)), k)
         if r:
             raise ArithmeticError("Newton identity division was not exact")
         c[n - k] = q

@@ -94,8 +94,8 @@ def left_power_rows(n: int, e: int) -> Iterator[tuple[int, ...]]:
     held_e, wide, rows = _left_rows
     if held_e != e or wide < n:
         pows = [e ** k for k in range(n)]
-        rows = tuple(tuple(pows[i - j] * comb(i, j) for j in range(i + 1)) + (0,) * (n - 1 - i)
-                     for i in range(n))
+        rows = tuple(tuple(pows[i - j] * comb(i, j) for j in range(i + 1))
+                     + (0,) * (n - 1 - i) for i in range(n))
         _left_rows = (e, n, rows)
     return (row[:n] for row in rows[:n])
 

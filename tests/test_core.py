@@ -8,6 +8,7 @@ from pascalfib.core import (
     IntPolynomial,
     ModMatrix,
     charpoly,
+    charpoly_from_power_sums,
     det,
     is_prime,
     mat_mod,
@@ -34,6 +35,7 @@ from oracles import (
     modmat_pow_slow,
     poly_at_matrix,
     prime_factors_naive,
+    trace,
     zero_matrix,
 )
 
@@ -578,6 +580,18 @@ class TestCharpoly:
     def test_pascal_matrices_match_faddeev_leverrier(self, n):
         for m in (build_left(n), build_right(n)):
             assert charpoly(m) == charpoly_faddeev_leverrier(m)
+
+    @given(small_matrices(max_n=6, max_abs=9))
+    @example(ONE_BY_ONE)
+    @example(zero_matrix(4))
+    def test_newton_step_on_slow_traces(self, a):
+        sums = [trace(mat_pow_slow(a, k)) for k in range(1, a.n + 1)]
+        assert charpoly_from_power_sums(sums) == charpoly_faddeev_leverrier(a)
+
+    def test_newton_step_refuses_sums_of_no_matrix(self):
+        # p_1 = 1, p_2 = 0: c_0 = -(c_1 p_1 + p_2) / 2 = 1/2.
+        with pytest.raises(ArithmeticError):
+            charpoly_from_power_sums((1, 0))
 
     @pytest.mark.parametrize("n", [1, 2, 17, 48])
     def test_makes_n_products(self, monkeypatch, n):
