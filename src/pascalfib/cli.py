@@ -568,21 +568,18 @@ def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
     grid point: every L_n**e that `laws.power` hands out is a block of
     one walked L_N**e, the laws at one (n, e) share the R_n**e it holds,
     and eigen-conjecture at n reads the traces of the R_n walk. Under
-    fail-fast they run in request order, because the partial report
-    depends on which checks ran before the first failure; there each
-    law asks for its own powers and traces, and eigen-conjecture falls
-    back to core.charpoly when they are not held.
+    fail-fast, `stop` is the request index of the earliest failure met
+    so far: jobs past it are skipped or dropped. Checks are deterministic,
+    so the report is the request order's prefix through its first failure.
     """
     jobs = [job for name in cfg.laws for job in _grid(name, cfg)]
-    if not cfg.fail_fast:
-        jobs.sort(key=_walk_order)
-    checks: list[Check] = []
-    for job in jobs:
-        check = _run(job)
-        checks.append(check)
-        if cfg.fail_fast and check["verdict"] == FAIL:
-            break
-    checks.sort(key=_sort_key)
+    stop, ran = len(jobs), {}
+    for k in sorted(range(len(jobs)), key=lambda k: _walk_order(jobs[k])):
+        if k < stop:
+            ran[k] = check = _run(jobs[k])
+            if cfg.fail_fast and check["verdict"] == FAIL:
+                stop = k
+    checks = sorted((check for k, check in ran.items() if k <= stop), key=_sort_key)
     summary = {
         "pass": sum(1 for c in checks if c["verdict"] == PASS),
         "fail": sum(1 for c in checks if c["verdict"] == FAIL),

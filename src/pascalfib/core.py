@@ -148,9 +148,15 @@ class ExactMatrix(_ExactFields):
         return cls(n, tuple(tuple(fn(i, j) for j in range(1, n + 1))
                             for i in range(1, n + 1)))
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    @staticmethod
+    def identity(n: int) -> "ExactMatrix":
+        return _exact(n, _identity_rows(n))
+
+
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _validate_modulus(p: int) -> None:
@@ -182,9 +188,11 @@ class ModMatrix(_ModFields):
             raise ValueError(f"entries must be residues in [0, {p})")
         return tuple.__new__(cls, (n, p, rows))
 
-    @classmethod
-    def identity(cls, n: int, p: int) -> "ModMatrix":
-        return cls(n, p, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    @staticmethod
+    def identity(n: int, p: int) -> "ModMatrix":
+        rows = _identity_rows(n)
+        _validate_modulus(p)
+        return _mod(n, p, rows)
 
 
 def _exact(n: int, rows: tuple[tuple[int, ...], ...]) -> ExactMatrix:
@@ -345,7 +353,7 @@ def mat_mod(a: ExactMatrix, p: int) -> ModMatrix:
     """Entrywise reduction into canonical residues [0, p); p must be an
     int of at least 2, which is checked before any entry is reduced."""
     _validate_modulus(p)
-    return ModMatrix(a.n, p, tuple(tuple(x % p for x in row) for row in a.rows))
+    return _mod(a.n, p, tuple(tuple(x % p for x in row) for row in a.rows))
 
 
 def modmat_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:

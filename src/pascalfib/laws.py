@@ -4,23 +4,21 @@ satisfied by powers of the column-justified Pascal matrix.
 Every verifier takes its power matrix from `power`, which computes it
 with core.mat_mul and core.mat_pow only, and compares the law's
 prediction against it, so the law under test shares no code with its
-oracle beyond plain matrix multiplication. `power` keeps the last
-power of each of the last two bases it was asked for, hands it back
-when asked again and steps it up with one multiply instead of starting
-again; it holds no other power, so at most two matrices per process.
-Beside each held power it keeps the traces of the walk that made it,
-tr(base**k) for k = 1..n when the walk stepped up from base**1, and
-drops them with the power: `power_sums` hands them to spectra, whose
-Newton step turns them into charpoly(R_n) without a product of its own.
-A campaign runs the cell laws point by point, so at each (n, e) they
-ask for one R_n**e in a row, and e rises by one from point to point.
-L_n is lower triangular, so for n <= N the leading n x n block of
-L_N**e is L_n**e, for every integer e. `power` reads L_n**e off a held
-L_N**e, stepped once if it was at e - 1, and a campaign asks for the
-left powers first, e ascending and n descending within each e, so one
-walk of the largest L_N serves every n. All comparisons are integer
-equalities; reports carry every failing cell as an (i, j, lhs, rhs)
-witness, in row-major order.
+oracle beyond plain matrix multiplication. `power` holds one matrix
+per process: the last power it made, which it hands back when asked
+again and steps up with one multiply instead of starting again, with
+the traces tr(base**k), k = 1..n, of its walk when that stepped up from
+base**1. `power_sums` hands them to spectra, whose Newton step turns
+them into charpoly(R_n) without a product of its own. A campaign walks
+one base at a time: it runs the cell laws point by point, so at each
+(n, e) they ask for one R_n**e in a row, and e rises by one from point
+to point. L_n is lower triangular, so for n <= N the leading n x n
+block of L_N**e is L_n**e, for every integer e. `power` reads L_n**e
+off a held L_N**e, stepped once if it was at e - 1, and a campaign asks
+for the left powers first, e ascending and n descending within each e,
+so one walk of the largest L_N serves every n. All comparisons are
+integer equalities; reports carry every failing cell as an
+(i, j, lhs, rhs) witness, in row-major order.
 
 Index ranges: the Fibonacci-coefficient recurrence comes with its
 stated range; the paper's square and cube recurrences are it at e = 2
@@ -56,60 +54,57 @@ class CellLawReport(NamedTuple):
         return not self.failures
 
 
-# The (base, e, base**e, sums) that `power` last returned for each of
-# the last two bases it was asked for, most recent first. sums holds
-# tr(base**k) for k = 1..min(e, n) when the walk to e passed through
-# e = 1 one multiply at a time, and None otherwise. Each record is
-# immutable and `power` rebinds the tuple whole, so a thread that reads
-# a stale tuple still steps from a true power and true traces.
-_held: tuple[tuple[ExactMatrix, int, ExactMatrix, tuple[int, ...] | None], ...] = ()
+# The (base, e, base**e, sums) that `power` last returned, or None.
+# sums holds tr(base**k) for k = 1..min(e, n) when the walk to e passed
+# through e = 1 one multiply at a time, and None otherwise. The record is
+# immutable and `power` rebinds it whole, so a thread that reads a stale
+# record still steps from a true power and true traces.
+_held: tuple[ExactMatrix, int, ExactMatrix, tuple[int, ...] | None] | None = None
 
 
 def power(base: ExactMatrix, e: int) -> ExactMatrix:
     """base**e, for any e that core.mat_pow accepts.
 
-    If the last power held for the same base object is at e, the
-    result is that power again; at e - 1 it is that power times base:
-    one multiply, and no inverse for negative e. For a built L_n, a
-    power held for a built L_N with N > n serves too: the result is the
+    If the power held for the same base object is at e, the result is
+    that power again; at e - 1 it is that power times base: one
+    multiply, and no inverse for negative e. For a built L_n, a power
+    held for a built L_N with N > n serves too: the result is the
     leading n x n block of power(L_N, e), which L_n's lower
-    triangularity makes equal to L_n**e, and L_N stays held in place
-    of L_n. Otherwise it is core.mat_pow(base, e). One power is held
-    for each of the last two bases, with the traces of its walk from
-    base**1 (see power_sums); the build_left/build_right memos hand out
-    one object per n, so the walks keep their bases. At most two
-    matrices and 2n traces are held per process.
+    triangularity makes equal to L_n**e, and L_N stays held in place of
+    L_n. Otherwise it is core.mat_pow(base, e). Only the last power is
+    held, with the traces of its walk (see power_sums); the
+    build_left/build_right memos hand out one object per n, so the
+    walks keep their bases.
     """
     global _held
     held = _held
-    last = next((h for h in held if e - 1 <= h[1] <= e and _serves(h[0], base)), None)
-    if last is not None and last[0] is not base:
-        n = base.n
-        return _exact(n, tuple(row[:n] for row in power(last[0], e).rows[:n]))
-    if last is None:
+    if held is None or not e - 1 <= held[1] <= e or not _serves(held[0], base):
         result, sums = mat_pow(base, e), None
-    elif last[1] == e:
-        result, sums = last[2], last[3]
+    elif held[0] is not base:
+        n = base.n
+        return _exact(n, tuple(row[:n] for row in power(held[0], e).rows[:n]))
+    elif held[1] == e:
+        return held[2]
     else:
-        result, sums = mat_mul(last[2], base), last[3]
+        result, sums = mat_mul(held[2], base), held[3]
         if sums is not None and e <= base.n:
             sums += (_trace(result),)
     if e == 1 and sums is None:
         sums = (_trace(result),)
-    _held = ((base, e, result, sums),) + tuple(h for h in held if h[0] is not base)[:1]
+    _held = (base, e, result, sums)
     return result
 
 
 def power_sums(base: ExactMatrix) -> tuple[int, ...] | None:
-    """The power sums tr(base**k), k = 1..n, of the walk `power` holds
-    for this base object, or None when that walk did not step from
-    base**1 up to base**n one multiply at a time. They are read off
-    the powers the walk made, so they cost n additions per step and no
+    """The power sums tr(base**k), k = 1..n, of the walk `power` holds,
+    or None when it holds no walk of this base object that stepped from
+    base**1 up to base**n one multiply at a time. They are read off the
+    powers the walk made, so they cost n additions per step and no
     product of their own."""
-    record = next((h for h in _held if h[0] is base), None)
-    if record is None or record[3] is None or record[1] < base.n:
+    held = _held
+    if held is None or held[0] is not base or held[3] is None or held[1] < base.n:
         return None
-    return record[3]
+    return held[3]
 
 
 def _trace(m: ExactMatrix) -> int:

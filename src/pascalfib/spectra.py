@@ -24,12 +24,12 @@ the characteristic polynomial coefficient for coefficient.
 
 The computed side is charpoly(R_n) from its power sums tr(R_n**k),
 k = 1..n, by Newton's identities (core.charpoly_from_power_sums). A
-campaign that walks R_n**k for every k <= n before it checks n already
-made those powers, and laws.power_sums reads the traces off that walk;
-otherwise core.charpoly makes them. Either way the powers come from
-mat_mul and mat_pow alone, never from the conjectured spectrum. By the
-same identities, a closed form for tr(R_n**e) at e = 1..n would imply
-the conjecture at n; the check here stays the independent one.
+campaign checks n right after the R_n walk, which laws.power still
+holds: when it stepped from R_n**1 to R_n**n, laws.power_sums reads the
+traces off it, and otherwise core.charpoly makes them. Either way the
+powers come from mat_mul and mat_pow alone, never from the conjectured
+spectrum. By the same identities, a closed form for tr(R_n**e) at
+e = 1..n would imply the conjecture at n; the check stays independent.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def conjectured_charpoly(n: int) -> IntPolynomial:
 def check_eigen_conjecture(n: int) -> ConjectureReport:
     """Compare charpoly(R_n) with the conjectured polynomial, exactly.
 
-    charpoly(R_n) comes from the power sums of the R_n walk that
+    charpoly(R_n) comes from the power sums of the one walk that
     laws.power holds, when that walk stepped from R_n**1 to R_n**n, and
     from core.charpoly otherwise. A mismatch, which the symmetric-power
     argument rules out, would point to a fault in charpoly or in the

@@ -531,12 +531,44 @@ class TestExitCodeContract:
         assert (code, err) == (1, "")
         assert out == FAIL_FAST_REPORT
 
+    def test_fail_fast_drops_a_check_past_the_first_failure(self, capsys, monkeypatch):
+        # fib-recurrence is requested first and fails at (3, 3), and
+        # border-formulas fails at (2, 1), which the walk order meets
+        # first. That check runs, but it lies past the first failure in
+        # request order, so the report leaves it out; the jobs past it
+        # in request order never run.
+        ran = []
+
+        def inject(name, bad):
+            law = cli.LAW_REGISTRY[name]
+
+            def check(n, e):
+                ran.append((name, n, e))
+                return (FAIL, {"reason": "injected"}) if (n, e) == bad else law.check(n=n, e=e)
+            monkeypatch.setitem(cli.LAW_REGISTRY, name, law._replace(check=check))
+
+        inject("fib-recurrence", (3, 3))
+        inject("border-formulas", (2, 1))
+        code, out, err = run(capsys, "verify", "--laws", "fib-recurrence,border-formulas",
+                             "--n", "2..3", "--e", "1..3", "--fail-fast",
+                             "--format", "plain")
+        assert (code, err) == (1, "")
+        assert ran == [("fib-recurrence", 2, 1), ("border-formulas", 2, 1),
+                       ("fib-recurrence", 2, 2), ("fib-recurrence", 2, 3),
+                       ("fib-recurrence", 3, 1), ("fib-recurrence", 3, 2),
+                       ("fib-recurrence", 3, 3)]
+        assert out == (
+            "PASS               fib-recurrence           n=2 e=1\n"
+            "PASS               fib-recurrence           n=2 e=2\n"
+            "PASS               fib-recurrence           n=2 e=3\n"
+            "PASS               fib-recurrence           n=3 e=1\n"
+            "PASS               fib-recurrence           n=3 e=2\n"
+            'FAIL               fib-recurrence           n=3 e=3  witness={"reason":"injected"}\n'
+            "summary: pass=5 fail=1\n")
 
     def test_fail_fast_prints_what_the_walk_order_prints(self, capsys):
-        # A passing campaign reports the same bytes in request order,
-        # where eigen-conjecture runs before any walk and takes charpoly
-        # and the square, cube and row-expansion laws make their own
-        # powers, as in the walk order, where they read the R_n walk.
+        # A passing campaign runs every check in the walk order either
+        # way, so --fail-fast changes none of its bytes.
         args = ("verify", "--laws", "eigen-conjecture,square-recurrence,cube-recurrence,"
                 "row-expansion,fib-recurrence,border-formulas,row-propagation",
                 "--n", "1..9", "--e", "1..9", "--format", "plain")

@@ -119,6 +119,31 @@ class TestPublicConstructorsValidate:
         with pytest.raises(ValueError, match="^modulus must be at least 2$"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: ExactMatrix.identity(0),
+        lambda: ModMatrix.identity(0, 7),
+        lambda: ModMatrix.identity(-1, 1),
+    ])
+    def test_identity_of_dimension_below_one(self, build):
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            build()
+
+    # identity and mat_mod make their own entries and skip the per-entry
+    # check, so each must give what the validated constructor gives.
+    @pytest.mark.parametrize("p", [2, 12, 2**31 - 1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trusted_builds_equal_validated_ones(self, n, p):
+        def same(built, validated):
+            return type(built) is type(validated) and built == validated
+
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert same(ExactMatrix.identity(n), ExactMatrix(n, ident))
+        assert same(ModMatrix.identity(n, p), ModMatrix(n, p, ident))
+        for a in (build_left(n), build_right(n), left_inverse(n), right_inverse(n),
+                  mat_pow(build_right(n), 64)):
+            residues = tuple(tuple(x % p for x in row) for row in a.rows)
+            assert same(mat_mod(a, p), ModMatrix(n, p, residues))
+
 
 class TestValuesAreNotSequences:
     """The NamedTuple value types neither concatenate nor repeat."""

@@ -24,7 +24,7 @@ from pascalfib.report import FAIL, PASS
 def nothing_held(monkeypatch):
     """Start each test with no power held, so call counts do not depend
     on the tests that ran before."""
-    monkeypatch.setattr(laws, "_held", ())
+    monkeypatch.setattr(laws, "_held", None)
 
 
 SQUARE = cli.LAW_REGISTRY["square-recurrence"].check
@@ -259,6 +259,13 @@ def _count_everywhere(monkeypatch, name) -> list[int]:
     return counter
 
 
+def _start_afresh(monkeypatch, counters) -> None:
+    """Drop the held power and zero the counters, as before a new run."""
+    monkeypatch.setattr(laws, "_held", None)
+    for counter in counters:
+        counter[0] = 0
+
+
 @st.composite
 def power_requests(draw):
     """A run of (kind, n, e) requests, n <= 6 and e in -6..12: steps up
@@ -316,12 +323,18 @@ class TestPowerWalk:
             laws.power(left, e)
         assert (pows[0], muls[0], inverses[0]) == (1, 8, 1)
 
-    def test_holds_one_power_of_each_of_the_last_two_bases(self):
+    def test_holds_one_power_of_the_last_base(self, monkeypatch):
+        # Each base switch drops the power held for the other base, so
+        # every request below starts again from mat_pow.
+        pows = _count_calls(monkeypatch, laws, "mat_pow")
         for n in (2, 3, 4):
             laws.power(build_left(n), 2)
             laws.power(build_right(n), 3)
-        assert [(base, e) for base, e, *_ in laws._held] == [
-            (build_right(4), 3), (build_left(4), 2)]
+        base, e, held, sums = laws._held
+        assert base is build_right(4) and (e, sums) == (3, None)
+        assert held == mat_pow_slow(build_right(4), 3)
+        laws.power(build_left(4), 2)
+        assert pows[0] == 7
 
     def test_an_equal_but_distinct_base_is_not_stepped_from(self):
         right = build_right(3)
@@ -347,7 +360,7 @@ class TestLeftBlocks:
             for n in range(1, wide + 1):
                 expected = _slow_power("left", n, e)
                 for held_at in (e - 1, e):
-                    monkeypatch.setattr(laws, "_held", ())
+                    monkeypatch.setattr(laws, "_held", None)
                     laws.power(left, held_at)
                     before = pows[0]
                     assert laws.power(build_left(n), e) == expected, (n, e, held_at)
@@ -357,7 +370,7 @@ class TestLeftBlocks:
         laws.power(build_left(6), 3)
         laws.power(build_left(4), 3)
         laws.power(build_left(2), 4)
-        assert [(base, e) for base, e, *_ in laws._held] == [(build_left(6), 4)]
+        assert laws._held[:2] == (build_left(6), 4)
 
     def test_a_narrower_or_distant_power_does_not_serve(self, monkeypatch):
         pows = _count_calls(monkeypatch, laws, "mat_pow")
@@ -375,7 +388,7 @@ class TestLeftBlocks:
         rows = [list(row) for row in _slow_power("left", wide, e).rows]
         rows[i - 1][j - 1] += 1
         monkeypatch.setattr(laws, "_held", (
-            (build_left(wide), e, oracles.matrix_from_rows(rows), None),))
+            build_left(wide), e, oracles.matrix_from_rows(rows), None))
         verdict, witness = cli._check_left_closed_form(n, e)
         first = oracles.left_closed_form_slow(n, e)
         if i > n or j > n:
@@ -397,19 +410,21 @@ class TestWalkPowerSums:
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_walked_sums_give_charpoly(self, monkeypatch, n):
-        # R_n and then R_{n-1} walked over e 1..n: both are held, each
-        # with its own sums, and neither may stand in for the other.
+        # R_n and then R_{n-1} walked over e 1..n: each walk's sums are
+        # read right after it, while it is the one held, and the second
+        # walk drops the first's.
         walked = [build_right(k) for k in (n, n - 1) if k]
         for right in walked:
             for e in range(1, n + 1):
                 laws.power(right, e)
-        for right in walked:
             charpolys = _count_everywhere(monkeypatch, "charpoly")
             assert laws.power_sums(right) == self._slow_sums(right)
             report = spectra.check_eigen_conjecture(right.n)
             assert (report.passed, charpolys[0]) == (True, 0)
             assert report.computed_charpoly == core.charpoly(right)
             assert report.computed_charpoly == oracles.charpoly_faddeev_leverrier(right)
+        if n > 1:
+            assert laws.power_sums(walked[0]) is None
 
     @pytest.mark.parametrize("start", [-3, 0, 1])
     def test_a_walk_through_one_keeps_n_sums(self, start):
@@ -538,6 +553,8 @@ class TestCampaignPowerCounts:
         #   mat_pow(R_n, 1) per n: 19. Before, square-recurrence and
         #   row-expansion each restarted at R_n**2: 53.
         # - One backward shift, for L_18**-8, and no charpoly call (17).
+        # A passing campaign runs the same jobs in the same order under
+        # fail-fast, so the counts are the same with it.
         counters = [_count_everywhere(monkeypatch, "mat_mul"),
                     _count_everywhere(monkeypatch, "mat_pow"),
                     _count_backward_shifts(monkeypatch),
@@ -546,10 +563,13 @@ class TestCampaignPowerCounts:
                  "fib-recurrence", "border-formulas", "row-expansion",
                  "row-propagation", "inverse-closed-forms", "eigen-conjecture",
                  "identities", "hardy-wright")
-        cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(-8, 18))
-        report = cli.run_campaign(cfg)
-        assert report["summary"]["fail"] == 0
-        assert [counter[0] for counter in counters] == [386, 19, 1, 0]
+        for fail_fast in (False, True):
+            _start_afresh(monkeypatch, counters)
+            cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(-8, 18),
+                                     fail_fast=fail_fast)
+            report = cli.run_campaign(cfg)
+            assert report["summary"]["fail"] == 0
+            assert [counter[0] for counter in counters] == [386, 19, 1, 0], fail_fast
 
     @pytest.mark.parametrize("names, e_hi, charpolys", [
         (("eigen-conjecture",), 18, 17),
@@ -558,13 +578,17 @@ class TestCampaignPowerCounts:
         (("fib-recurrence", "eigen-conjecture"), 10, 8)])
     def test_eigen_conjecture_reads_the_walk(self, monkeypatch, names, e_hi, charpolys):
         # eigen-conjecture at n runs after the R_n walk, whatever the
-        # request order, and calls charpoly only where no walk from
-        # R_n**1 reached R_n**n: every n alone, and n 11..18 for e <= 10.
+        # request order and with or without fail-fast, and calls charpoly
+        # only where no walk from R_n**1 reached R_n**n: every n alone,
+        # and n 11..18 for e <= 10.
         counter = _count_everywhere(monkeypatch, "charpoly")
-        cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(1, e_hi))
-        report = cli.run_campaign(cfg)
-        assert report["summary"]["fail"] == 0
-        assert counter[0] == charpolys
+        for fail_fast in (False, True):
+            _start_afresh(monkeypatch, [counter])
+            cfg = cli.CampaignConfig(names, n_range=(2, 18), e_range=(1, e_hi),
+                                     fail_fast=fail_fast)
+            report = cli.run_campaign(cfg)
+            assert report["summary"]["fail"] == 0
+            assert counter[0] == charpolys, fail_fast
 
     def test_cell_laws_share_one_power(self, monkeypatch):
         # Three cell laws at one (n, e) ask for R_5**7 in a row: the

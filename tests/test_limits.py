@@ -131,14 +131,19 @@ def test_left_closed_form_over_the_whole_e_range_at_n_64(tmp_path):
 
 def test_left_closed_form_over_the_whole_grid(tmp_path):
     # One walk of L_64 over e -64..64, and every L_n**e read off it as
-    # its leading block. Measured on a 2-vCPU x86_64 sandbox: 2.2 s and
-    # 35 MB; 16.7 s with one walk per n.
-    code, stdout, seconds, peak_mb = run_cli(
-        tmp_path, "verify", "--laws", "left-closed-form", "--n", "1..64", "--e=-64..64")
-    assert code == 0
-    assert json.loads(stdout)["summary"] == {"pass": 64 * 129, "fail": 0}
-    assert seconds < 10, seconds
-    assert peak_mb < 100, peak_mb
+    # its leading block, with or without --fail-fast. Measured on a
+    # 2-vCPU x86_64 sandbox: 2.2 s and 35 MB; 16.7 s with one walk per n.
+    outputs = []
+    for flags in ((), ("--fail-fast",)):
+        code, stdout, seconds, peak_mb = run_cli(
+            tmp_path, "verify", "--laws", "left-closed-form", "--n", "1..64", "--e=-64..64",
+            *flags)
+        assert code == 0
+        assert json.loads(stdout)["summary"] == {"pass": 64 * 129, "fail": 0}
+        assert seconds < 10, (flags, seconds)
+        assert peak_mb < 100, (flags, peak_mb)
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_cell_laws_over_e_1_to_64_at_n_64(tmp_path):
