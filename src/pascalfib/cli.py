@@ -121,15 +121,13 @@ def _to_csv(payload: dict[str, Any]) -> str:
     if obj == "integer":
         return payload["value"] + "\n"
     if obj == "campaign":
-        lines = ["law,n,e,p,verdict,witness\n"]
+        lines = [",".join(["law", *AXES, "verdict", "witness"]) + "\n"]
         for check in payload["checks"]:
             params = check["params"]
             witness = check.get("witness")
             lines.append(",".join([
                 check["law"],
-                str(params.get("n", "")),
-                str(params.get("e", "")),
-                str(params.get("p", "")),
+                *(str(params.get(axis, "")) for axis in AXES),
                 check["verdict"],
                 json.dumps(witness, separators=(",", ":")).replace(",", ";")
                 if witness is not None else "",
@@ -381,16 +379,23 @@ Verdict = tuple[str, dict[str, Any] | None]
 Job = tuple[str, dict[str, int]]
 
 
-class Law(NamedTuple):
-    """One campaign law. `axes` lists its grid axes in params order ("n",
-    "ne", "np", "p" or "e"); n and e start no lower than `n_lo`/`e_lo`, and
-    p takes each requested prime. `check(**params)` returns the verdict and
-    a witness, or None when there is none to show."""
+# The grid axes, in the order of params, CSV columns and sort keys.
+AXES = ("n", "e", "p")
 
-    axes: str
+
+class Law(NamedTuple):
+    """One campaign law. `axes` names its grid axes, in AXES order; n and e
+    start no lower than `n_lo`/`e_lo`, and p takes each requested prime.
+    `check(**params)` returns the verdict and a witness, or None when there
+    is none to show. `walk_e`, set only on a law on the n axis alone, is
+    its place in the R_n walk: it runs with the checks at that e (the
+    default 0 is before them all)."""
+
+    axes: tuple[str, ...]
     check: Callable[..., Verdict]
     n_lo: int = 1
     e_lo: int = 1
+    walk_e: float = 0
 
 
 def _cell_verdict(report: laws.CellLawReport) -> Verdict:
@@ -480,39 +485,42 @@ def _check_eigen(n: int) -> Verdict:
 
 # Library calls go through their module at call time, so a tracer or a
 # test that rebinds `laws.verify_*` or `modorder.verify_*` sees them.
+# row-expansion asks for R_n**2 and then R_n**3, so it runs after every
+# other check at e = 2 and before every other check at e = 3.
 LAW_REGISTRY: dict[str, Law] = {
-    "mod2": Law("n", _check_mod2, n_lo=2),
-    "left-closed-form": Law("ne", _check_left_closed_form, e_lo=-MAX_E),
+    "mod2": Law(("n",), _check_mod2, n_lo=2),
+    "left-closed-form": Law(("n", "e"), _check_left_closed_form, e_lo=-MAX_E),
     "square-recurrence": Law(
-        "n", lambda n: _cell_verdict(laws.verify_fib_recurrence(n, 2)), n_lo=2),
+        ("n",), lambda n: _cell_verdict(laws.verify_fib_recurrence(n, 2)), n_lo=2, walk_e=2),
     "cube-recurrence": Law(
-        "n", lambda n: _cell_verdict(laws.verify_fib_recurrence(n, 3)), n_lo=2),
+        ("n",), lambda n: _cell_verdict(laws.verify_fib_recurrence(n, 3)), n_lo=2, walk_e=3),
     "fib-recurrence": Law(
-        "ne", lambda n, e: _cell_verdict(laws.verify_fib_recurrence(n, e)), n_lo=2),
+        ("n", "e"), lambda n, e: _cell_verdict(laws.verify_fib_recurrence(n, e)), n_lo=2),
     "border-formulas": Law(
-        "ne", lambda n, e: _cell_verdict(laws.verify_border_formulas(n, e))),
-    "row-expansion": Law("n", lambda n: _cell_verdict(_row_expansion(n)), n_lo=2),
+        ("n", "e"), lambda n, e: _cell_verdict(laws.verify_border_formulas(n, e))),
+    "row-expansion": Law(
+        ("n",), lambda n: _cell_verdict(_row_expansion(n)), n_lo=2, walk_e=2.5),
     "row-propagation": Law(
-        "ne", lambda n, e: _cell_verdict(laws.verify_row_propagation(n, e)),
+        ("n", "e"), lambda n, e: _cell_verdict(laws.verify_row_propagation(n, e)),
         n_lo=2, e_lo=2),
     "left-order": Law(
-        "np", lambda n, p: _order_verdict(modorder.verify_left_order(n, p)), n_lo=2),
+        ("n", "p"), lambda n, p: _order_verdict(modorder.verify_left_order(n, p)), n_lo=2),
     "scalar-power": Law(
-        "np", lambda n, p: _order_verdict(modorder.verify_scalar_power(n, p)), n_lo=2),
+        ("n", "p"), lambda n, p: _order_verdict(modorder.verify_scalar_power(n, p)), n_lo=2),
     "p-minus-1": Law(
-        "np", lambda n, p: _order_verdict(modorder.verify_pminus1(n, p)), n_lo=2),
+        ("n", "p"), lambda n, p: _order_verdict(modorder.verify_pminus1(n, p)), n_lo=2),
     "p-plus-1": Law(
-        "np", lambda n, p: _order_verdict(modorder.verify_pplus1(n, p)), n_lo=2),
+        ("n", "p"), lambda n, p: _order_verdict(modorder.verify_pplus1(n, p)), n_lo=2),
     "order-bound": Law(
-        "np", lambda n, p: _order_verdict(modorder.verify_order_bound(n, p)), n_lo=2),
-    "bloom-wall": Law("p", _check_bloom_wall),
-    "period-exactness": Law("p", _check_period_exactness),
+        ("n", "p"), lambda n, p: _order_verdict(modorder.verify_order_bound(n, p)), n_lo=2),
+    "bloom-wall": Law(("p",), _check_bloom_wall),
+    "period-exactness": Law(("p",), _check_period_exactness),
     "identities": Law(
-        "e", lambda e: (PASS if check_identities(e).passed else FAIL, None)),
+        ("e",), lambda e: (PASS if check_identities(e).passed else FAIL, None)),
     "hardy-wright": Law(
-        "e", lambda e: (PASS if fib_via_binomials(e) == fib(e) else FAIL, None)),
-    "inverse-closed-forms": Law("n", _check_inverses),
-    "eigen-conjecture": Law("n", _check_eigen),
+        ("e",), lambda e: (PASS if fib_via_binomials(e) == fib(e) else FAIL, None)),
+    "inverse-closed-forms": Law(("n",), _check_inverses),
+    "eigen-conjecture": Law(("n",), _check_eigen, walk_e=MAX_E + 1),
 }
 
 
@@ -536,28 +544,19 @@ def _run(job: Job) -> Check:
 
 
 def _sort_key(check: Check) -> tuple:
-    params = check["params"]
-    return (check["law"], params.get("n", 0), params.get("e", 0), params.get("p", 0))
-
-
-# Where a law on the n axis alone runs in the R_n walk. square-recurrence
-# asks for R_n**2 and cube-recurrence for R_n**3; row-expansion asks for
-# R_n**2 and then R_n**3, so it runs after every other check at e = 2 and
-# before every other check at e = 3; eigen-conjecture reads the traces of
-# the whole walk, so it runs after it.
-_WALK_POINT = {"square-recurrence": 2, "cube-recurrence": 3, "row-expansion": 2.5,
-               "eigen-conjecture": MAX_E + 1}
+    return (check["law"], *(check["params"].get(axis, 0) for axis in AXES))
 
 
 def _walk_order(job: Job) -> tuple[int, float, float]:
     """left-closed-form first, e ascending and n descending, so that one
     walk of the largest L_n serves every n; then every other job by
-    (n, e), with the laws of _WALK_POINT at their place in the R_n walk."""
+    (n, e), with each law that sets `walk_e` at that place in the R_n walk."""
     name, params = job
-    n, e = params.get("n", 0), params.get("e", 0)
+    n, e = (params.get(axis, 0) for axis in AXES[:2])
     if name == "left-closed-form":
         return (0, e, -n)
-    return (1, n, _WALK_POINT.get(name, e))
+    # Only a law with no e axis, where e reads 0, sets walk_e.
+    return (1, n, e + LAW_REGISTRY[name].walk_e)
 
 
 def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
@@ -567,7 +566,8 @@ def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
     The jobs run in `_walk_order`, which keeps request order within a
     grid point: every L_n**e that `laws.power` hands out is a block of
     one walked L_N**e, the laws at one (n, e) share the R_n**e it holds,
-    and eigen-conjecture at n reads the traces of the R_n walk. Under
+    and a law on the n axis alone runs at its `walk_e`, so that
+    eigen-conjecture at n reads the traces of the whole R_n walk. Under
     fail-fast, `stop` is the request index of the earliest failure met
     so far: jobs past it are skipped or dropped. Checks are deterministic,
     so the report is the request order's prefix through its first failure.
@@ -597,20 +597,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
         settings.update(_typed_config(raw))
-    if args.laws is not None:
-        settings["laws"] = [law.strip() for law in args.laws.split(",") if law.strip()]
-    if args.n is not None:
-        settings["n_range"] = _parse_range(args.n)
-    if args.e is not None:
-        settings["e_range"] = _parse_range(args.e)
-    if args.primes is not None:
-        settings["primes"] = _parse_int_list(args.primes)
-    if args.format is not None:
-        settings["output_format"] = args.format
-    if args.fail_fast:
-        settings["fail_fast"] = True
-    if args.threads is not None:
-        settings["threads"] = args.threads
+    # An unset flag is None, so it leaves the config file's value alone.
+    for key, (_, _, parse) in CONFIG_SCHEMA.items():
+        value = getattr(args, key)
+        if value is not None:
+            settings[key] = parse(value)
     if "laws" not in settings:
         raise UsageError("no laws requested (use --laws or a config file)")
     cfg = CampaignConfig(**{key: tuple(value) if isinstance(value, list) else value
@@ -618,47 +609,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = run_campaign(cfg)
     emit(payload, cfg.output_format)
     return 0 if payload["summary"]["fail"] == 0 else 1
-
-
-def _is_int(value: Any) -> bool:
-    # JSON true/false load as bools, which Python also counts as ints.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_int_list(value: Any) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
-
-
-def _is_int_pair(value: Any) -> bool:
-    return _is_int_list(value) and len(value) == 2
-
-
-# Config key -> (what its value must be, type check).
-CONFIG_SCHEMA: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "laws": ("a list of law id strings",
-             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
-    "n_range": ("a pair of integers [A, B]", _is_int_pair),
-    "e_range": ("a pair of integers [A, B]", _is_int_pair),
-    "primes": ("a list of integers", _is_int_list),
-    "output_format": ("a string", lambda v: isinstance(v, str)),
-    "fail_fast": ("true or false", lambda v: isinstance(v, bool)),
-    "threads": ("an integer", _is_int),
-}
-
-
-def _typed_config(raw: Any) -> dict[str, Any]:
-    """The settings of a loaded JSON config, each checked against CONFIG_SCHEMA."""
-    if not isinstance(raw, dict):
-        raise UsageError("config must be a JSON object")
-    bad = set(raw) - set(CONFIG_SCHEMA)
-    if bad:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(bad))}")
-    for key, value in raw.items():
-        what, ok = CONFIG_SCHEMA[key]
-        if not ok(value):
-            raise UsageError(f"config key {key!r} must be {what}, "
-                             f"got {json.dumps(value)}")
-    return raw
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -677,6 +627,49 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise UsageError(f"bad integer list {text!r}") from exc
+
+
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bools, which Python also counts as ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_int_pair(value: Any) -> bool:
+    return _is_int_list(value) and len(value) == 2
+
+
+# Config key -> (what its value must be, type check, parser of its flag's
+# text). argparse has already typed --format, --fail-fast and --threads.
+CONFIG_SCHEMA: dict[str, tuple[str, Callable[[Any], bool], Callable[[Any], Any]]] = {
+    "laws": ("a list of law id strings",
+             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+             lambda text: [law.strip() for law in text.split(",") if law.strip()]),
+    "n_range": ("a pair of integers [A, B]", _is_int_pair, _parse_range),
+    "e_range": ("a pair of integers [A, B]", _is_int_pair, _parse_range),
+    "primes": ("a list of integers", _is_int_list, _parse_int_list),
+    "output_format": ("a string", lambda v: isinstance(v, str), str),
+    "fail_fast": ("true or false", lambda v: isinstance(v, bool), bool),
+    "threads": ("an integer", _is_int, int),
+}
+
+
+def _typed_config(raw: Any) -> dict[str, Any]:
+    """The settings of a loaded JSON config, each checked against CONFIG_SCHEMA."""
+    if not isinstance(raw, dict):
+        raise UsageError("config must be a JSON object")
+    bad = set(raw) - set(CONFIG_SCHEMA)
+    if bad:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(bad))}")
+    for key, value in raw.items():
+        what, ok, _ = CONFIG_SCHEMA[key]
+        if not ok(value):
+            raise UsageError(f"config key {key!r} must be {what}, "
+                             f"got {json.dumps(value)}")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +718,15 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
 
     verify = sub.add_parser("verify", help="run a verification campaign")
-    verify.add_argument("--laws", default=None,
-                        help="comma-separated law ids: " + ",".join(LAW_REGISTRY))
-    verify.add_argument("--n", default=None, help="dimension range A..B")
-    verify.add_argument("--e", default=None, help="exponent range A..B")
-    verify.add_argument("--primes", default=None, help="comma-separated primes")
-    verify.add_argument("--format", choices=("json", "csv", "plain"), default=None)
-    verify.add_argument("--fail-fast", action="store_true")
-    verify.add_argument("--threads", type=int, default=None)
-    verify.add_argument("--config", default=None, help="JSON campaign config file")
+    # Each campaign flag stores under its CONFIG_SCHEMA key.
+    verify.add_argument("--laws", help="comma-separated law ids: " + ",".join(LAW_REGISTRY))
+    verify.add_argument("--n", dest="n_range", metavar="N", help="dimension range A..B")
+    verify.add_argument("--e", dest="e_range", metavar="E", help="exponent range A..B")
+    verify.add_argument("--primes", help="comma-separated primes")
+    verify.add_argument("--format", dest="output_format", choices=("json", "csv", "plain"))
+    verify.add_argument("--fail-fast", action="store_true", default=None)
+    verify.add_argument("--threads", type=int)
+    verify.add_argument("--config", help="JSON campaign config file")
     return parser
 
 

@@ -496,7 +496,7 @@ class TestExitCodeContract:
     def _inject_failing_law(self, monkeypatch):
         def check(n):
             return (FAIL, {"reason": "injected"}) if n == 2 else (PASS, None)
-        monkeypatch.setitem(cli.LAW_REGISTRY, "stub", cli.Law("n", check))
+        monkeypatch.setitem(cli.LAW_REGISTRY, "stub", cli.Law(("n",), check))
 
     def test_failure_exits_one_with_full_report(self, capsys, monkeypatch):
         self._inject_failing_law(monkeypatch)
@@ -517,6 +517,17 @@ class TestExitCodeContract:
         # Stopped after the failure: the third check never ran.
         assert len(payload["checks"]) == 2
         assert payload["summary"]["fail"] == 1
+
+    def test_config_fail_fast_holds_without_the_flag(self, capsys, monkeypatch, tmp_path):
+        # An unset flag stores None, so it leaves the config's value alone.
+        self._inject_failing_law(monkeypatch)
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps({"laws": ["stub"], "n_range": [1, 3], "fail_fast": True}))
+        from_config = run(capsys, "verify", "--config", str(config))
+        assert from_config[0] == 1
+        assert len(json.loads(from_config[1])["checks"]) == 2
+        assert run(capsys, "verify", "--laws", "stub", "--n", "1..3",
+                   "--fail-fast") == from_config
 
     def test_fail_fast_keeps_request_order(self, capsys, monkeypatch):
         # border-formulas fails first at n = 3, e = 2. Run law by law, as
@@ -785,8 +796,118 @@ class TestLawIdsDocumented:
         assert block.split() == list(cli.LAW_REGISTRY)
 
     def test_laws_help(self):
-        (sub,) = [a for a in cli.build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-        (laws_option,) = [a for a in sub.choices["verify"]._actions
+        (laws_option,) = [a for a in _verify_parser()._actions
                           if "--laws" in a.option_strings]
         assert laws_option.help.split(": ")[1].split(",") == list(cli.LAW_REGISTRY)
+
+
+VERIFY_USAGE = """\
+usage: pascalfib verify [-h] [--laws LAWS] [--n N] [--e E] [--primes PRIMES]
+                        [--format {json,csv,plain}] [--fail-fast]
+                        [--threads THREADS] [--config CONFIG]
+"""
+
+VERIFY_HELP = VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --laws LAWS           comma-separated law ids: mod2,left-closed-form,square-
+                        recurrence,cube-recurrence,fib-recurrence,border-
+                        formulas,row-expansion,row-propagation,left-
+                        order,scalar-power,p-minus-1,p-plus-1,order-
+                        bound,bloom-wall,period-exactness,identities,hardy-
+                        wright,inverse-closed-forms,eigen-conjecture
+  --n N                 dimension range A..B
+  --e E                 exponent range A..B
+  --primes PRIMES       comma-separated primes
+  --format {json,csv,plain}
+  --fail-fast
+  --threads THREADS
+  --config CONFIG       JSON campaign config file
+"""
+
+
+E_RANGE_ERROR = "e range must be nonempty within -64..64"
+
+
+def _verify_parser():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices["verify"]
+
+
+class TestVerifyUsageErrors:
+    """Each usage error of `verify`, its whole stderr and exit code 2."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (("--laws", "mod2", "--primes", "7,x"), None, "bad integer list '7,x'"),
+        (("--laws", "mod2", "--e", "1..x"), None, "bad range '1..x' (expected A..B)"),
+        ((), {"laws": ["mod2"], "output_format": "xml"}, "unknown output format 'xml'"),
+        ((), {"laws": ["mod2"], "output_format": 3},
+         "config key 'output_format' must be a string, got 3"),
+        (("--laws", ","), None, "at least one law id is required"),
+        ((), {"laws": []}, "at least one law id is required"),
+        ((), {"n_range": [2, 3]}, "no laws requested (use --laws or a config file)"),
+        ((), None, "no laws requested (use --laws or a config file)"),
+        ((), {"laws": ["mod2"], "zzz": 1, "bogus": 2}, "unknown config keys: bogus, zzz"),
+        (("--laws", "mod2", "--e", "5..1"), None, E_RANGE_ERROR),
+        (("--laws", "mod2", "--e=-65..1"), None, E_RANGE_ERROR),
+        (("--laws", "mod2", "--primes", "4"), None,
+         "invalid prime 4 (must be prime, < 2^31)"),
+    ], ids=["primes-not-integers", "e-not-a-range", "config-format-xml",
+            "config-format-number", "laws-flag-empty", "laws-config-empty",
+            "config-without-laws", "bare-verify", "unknown-config-keys",
+            "e-range-reversed", "e-range-below-limit", "composite-prime"])
+    def test_message(self, capsys, tmp_path, argv, config, message):
+        if config is not None:
+            path = tmp_path / "campaign.json"
+            path.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(path))
+        assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
+class TestVerifyArgparseSurface:
+    """`verify --help` and the argparse errors, byte for byte at 80 columns."""
+
+    @pytest.fixture(autouse=True)
+    def eighty_columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_help(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == (VERIFY_HELP, "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n",), "argument --n: expected one argument"),
+        (("--threads", "x"), "argument --threads: invalid int value: 'x'"),
+        (("--format", "xml"), "argument --format: invalid choice: 'xml' "
+                              "(choose from 'json', 'csv', 'plain')"),
+    ], ids=["n-without-value", "threads-not-integer", "format-not-a-choice"])
+    def test_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", *argv])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"{VERIFY_USAGE}pascalfib verify: error: {message}\n")
+
+
+class TestVerifyTables:
+    """The settings table, the flags, the axes and the walk agree."""
+
+    def test_schema_keys_are_the_config_fields(self):
+        assert tuple(cli.CONFIG_SCHEMA) == cli.CampaignConfig._fields
+
+    def test_one_flag_stores_under_each_key(self):
+        dests = [a.dest for a in _verify_parser()._actions]
+        assert sorted(d for d in dests if d in cli.CONFIG_SCHEMA) == sorted(cli.CONFIG_SCHEMA)
+        assert set(dests) - set(cli.CONFIG_SCHEMA) == {"help", "config"}
+
+    def test_law_axes_follow_axes_order(self):
+        for law in cli.LAW_REGISTRY.values():
+            remaining = iter(cli.AXES)
+            assert law.axes and all(axis in remaining for axis in law.axes)
+
+    def test_only_laws_on_the_n_axis_alone_set_a_walk_position(self):
+        for name, law in cli.LAW_REGISTRY.items():
+            assert law.walk_e == 0 or law.axes == ("n",), name
