@@ -549,14 +549,18 @@ def _sort_key(check: Check) -> tuple:
 
 def _walk_order(job: Job) -> tuple[int, float, float]:
     """left-closed-form first, e ascending and n descending, so that one
-    walk of the largest L_n serves every n; then every other job by
-    (n, e), with each law that sets `walk_e` at that place in the R_n walk."""
+    walk of the largest L_n serves every n; then left-order, p ascending
+    and n descending, so that one L_N**p mod p serves every n at p; then
+    every other job by (n, e), with each law that sets `walk_e` at that
+    place in the R_n walk."""
     name, params = job
-    n, e = (params.get(axis, 0) for axis in AXES[:2])
+    n, e, p = (params.get(axis, 0) for axis in AXES)
     if name == "left-closed-form":
         return (0, e, -n)
+    if name == "left-order":
+        return (1, p, -n)
     # Only a law with no e axis, where e reads 0, sets walk_e.
-    return (1, n, e + LAW_REGISTRY[name].walk_e)
+    return (2, n, e + LAW_REGISTRY[name].walk_e)
 
 
 def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
@@ -565,12 +569,14 @@ def run_campaign(cfg: CampaignConfig) -> dict[str, Any]:
 
     The jobs run in `_walk_order`, which keeps request order within a
     grid point: every L_n**e that `laws.power` hands out is a block of
-    one walked L_N**e, the laws at one (n, e) share the R_n**e it holds,
-    and a law on the n axis alone runs at its `walk_e`, so that
-    eigen-conjecture at n reads the traces of the whole R_n walk. Under
-    fail-fast, `stop` is the request index of the earliest failure met
-    so far: jobs past it are skipped or dropped. Checks are deterministic,
-    so the report is the request order's prefix through its first failure.
+    one walked L_N**e, every L_n**p mod p that left-order reads is a
+    block of one L_N**p mod p per prime, the laws at one (n, e) share
+    the R_n**e that `laws.power` holds, and a law on the n axis alone
+    runs at its `walk_e`, so that eigen-conjecture at n reads the traces
+    of the whole R_n walk. Under fail-fast, `stop` is the request index
+    of the earliest failure met so far: jobs past it are skipped or
+    dropped. Checks are deterministic, so the report is the request
+    order's prefix through its first failure.
     """
     jobs = [job for name in cfg.laws for job in _grid(name, cfg)]
     stop, ran = len(jobs), {}

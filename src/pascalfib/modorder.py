@@ -7,18 +7,26 @@ R_n**e = s * I mod p for an explicit scalar s, hence R_n**(4e) = I, so
 the exact order is found by factor removal: starting from the
 annihilating exponent N = 4e, each prime q dividing N is stripped for
 as long as M**(N/q) = I, which takes O(omega(N) * log N) powers rather
-than one per divisor. Each power is a product of rungs from one ladder
-of repeated squares M**(2**k), shared by every power of one order
-computation.
+than one per divisor. The powers come from one ladder per order
+computation. With N = 2**a * m, m odd, M**N is M**m, a product of the
+ladder's repeated squares M**(2**k), squared a times, and the ladder
+keeps every M**(m * 2**j) on the way; so the powers N/2, N/4, ... that
+strip the 2s are already made. Every other power is a product of the
+repeated squares.
 
 The right-matrix laws read R_n mod p at e, 4e, the factor-removal
 exponents and p -/+ 1. One ladder per (n, p) makes all of these powers
-once; the memo keeps only what the laws read off them (the order, the
-scalar that R_n**e equals, whether R_n**(p-1) = I and the scalar of
-R_n**(p+1)), and each law compares those with its closed form. Should
+once, R_n**e among them on the chain squared up to 4e; the memo keeps
+only what the laws read off them (the order, the scalar that R_n**e
+equals, whether R_n**(p-1) = I and the scalar of R_n**(p+1)), and each
+law compares those with its closed form. Should
 R_n**(4e) = I itself fail, every right-matrix theorem reports that as
 a failed fourth-power-identity check, with no order. Fibonacci values
 enter only as residues, by fast doubling mod p.
+
+L_N is lower triangular, so for n <= N the leading n x n block of
+L_N**p mod p is L_n**p mod p. One L_N**p per prime, held from the last
+left-order check, seeds the ladder of every smaller n at that prime.
 
 Two edge cases discovered by direct computation are handled explicitly
 and surface as hypothesis-not-met rather than failures:
@@ -38,7 +46,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .core import (ExactMatrix, ModMatrix, det, is_prime, mat_mod, modmat_mul,
+from .core import (ExactMatrix, ModMatrix, _mod, det, is_prime, mat_mod, modmat_mul,
                    strip_prime_factors)
 from .fib import entry_point, fib_pair_mod, pisano_period
 from .pascal import build_left, build_right, left_power_entry
@@ -80,13 +88,14 @@ class _Ladder:
     The rung m**(2**k) is made by squaring the rung below it, the first
     time an exponent needs it, and m**e is the product of the rungs at
     the set bits of e. Every power made is kept under its exponent, so a
-    power asked for again costs nothing. A ladder serves one order
-    computation and is dropped with it.
+    power asked for again costs nothing; `held` gives powers already
+    known, under their exponents. A ladder serves one order computation
+    and is dropped with it.
     """
 
-    def __init__(self, m: ModMatrix) -> None:
+    def __init__(self, m: ModMatrix, held: dict[int, ModMatrix] | None = None) -> None:
         self.identity = ModMatrix.identity(m.n, m.p)
-        self._powers = {1: m}
+        self._powers = {1: m, **(held or {})}
 
     def power(self, e: int) -> ModMatrix:
         """m**e for e >= 1."""
@@ -106,12 +115,27 @@ class _Ladder:
             powers[e] = result
         return result
 
+    def squared_up(self, e: int) -> ModMatrix:
+        """m**e for e >= 1, as m**k for the odd part k of e, squared until
+        it reaches e. Every m**(k * 2**j) on the way is kept."""
+        powers = self._powers
+        k = e // (e & -e)
+        result = self.power(k)
+        while k < e:
+            k <<= 1
+            if k not in powers:
+                powers[k] = modmat_mul(result, result)
+            result = powers[k]
+        return result
+
 
 def _order(ladder: _Ladder, exponent_bound: int) -> int:
     """Least annihilating exponent of the ladder's matrix, by factor
-    removal from an exponent bound that must annihilate it."""
+    removal from an exponent bound that must annihilate it. The bound's
+    power is squared up from its odd part, so the chain holds every
+    exponent that stripping the 2s tries."""
     ident = ladder.identity
-    if ladder.power(exponent_bound) != ident:
+    if ladder.squared_up(exponent_bound) != ident:
         raise BoundNotAnnihilating("bound is not annihilating")
     return strip_prime_factors(exponent_bound, lambda k: ladder.power(k) == ident)
 
@@ -123,7 +147,8 @@ def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
     The order divides exponent_bound, so each prime factor q is removed
     from the bound while m**(bound/q) is still the identity; what is
     left is the least annihilating exponent. The powers come from one
-    ladder of repeated squares of m.
+    ladder of repeated squares of m, and the bound's power is squared up
+    from its odd part.
 
     A matrix whose determinant shares a factor with the modulus is not
     invertible, so no power of it is the identity and its search stops
@@ -147,8 +172,34 @@ def _scalar_of(m: ModMatrix) -> int | None:
     return s if m.rows == scalar else None
 
 
+# (p, L_N**p mod p) from the last left-order ladder made, or None. The
+# record is immutable and rebound whole, so a thread that reads a stale
+# one still reads a true power.
+_left_held: tuple[int, ModMatrix] | None = None
+
+
+def _left_ladder(n: int, p: int) -> _Ladder:
+    """The ladder of L_n mod p, holding L_n**p.
+
+    If the held L_N**p is at p with N >= n, L_n**p is its leading n x n
+    block, and the ladder starts from it. Otherwise the ladder makes
+    L_n**p from its rungs, and that power is held in place of the last.
+    """
+    global _left_held
+    lm, held = mat_mod(build_left(n), p), _left_held
+    if held is not None and held[0] == p and held[1].n >= n:
+        return _Ladder(lm, {p: _mod(n, p, tuple(row[:n] for row in held[1].rows[:n]))})
+    ladder = _Ladder(lm)
+    _left_held = (p, ladder.power(p))
+    return ladder
+
+
 def verify_left_order(n: int, p: int) -> OrderReport:
     """Assert that the left matrix has order exactly p modulo p (n >= 2).
+
+    The search starts from L_n**p, read off one held L_N**p mod p where
+    it can be (see `_left_ladder`): a campaign that asks for n
+    descending at each prime makes one ladder per prime.
 
     A second, independent confirmation comes from the power closed
     form: every off-diagonal entry of the p-th power is divisible by p.
@@ -157,8 +208,7 @@ def verify_left_order(n: int, p: int) -> OrderReport:
         raise ValueError("the order theorem requires n >= 2 (L_1 has order 1)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    lm = mat_mod(build_left(n), p)
-    order = matrix_order_mod(lm, p)
+    order = _order(_left_ladder(n, p), p)
     offdiag = all(left_power_entry(p, i, j) % p == 0
                   for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
     checks = {

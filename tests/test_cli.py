@@ -587,6 +587,54 @@ class TestExitCodeContract:
         assert walked[0] == 0
         assert run(capsys, *args, "--fail-fast") == walked
 
+    LEFT_ORDER_FAIL_FAST = {
+        # The bytes the campaign printed while left-order still ran by
+        # (n, e) beside scalar-power; json by digest.
+        "json": "1eb80a9d376f6e602d3c98dbc25606c8ee612403019828f691d3dcc014cfd5d2",
+        "csv": (
+            "law,n,e,p,verdict,witness\n"
+            "left-order,2,,5,pass,\n"
+            "left-order,2,,7,pass,\n"
+            "left-order,3,,5,pass,\n"
+            'left-order,3,,7,fail,{"order":"7";"checks":{"order-equals-p":"pass";'
+            '"closed-form-offdiagonal":"fail"}}\n'),
+        "plain": (
+            "PASS               left-order               n=2 p=5\n"
+            "PASS               left-order               n=2 p=7\n"
+            "PASS               left-order               n=3 p=5\n"
+            'FAIL               left-order               n=3 p=7  witness={"order":"7",'
+            '"checks":{"order-equals-p":"pass","closed-form-offdiagonal":"fail"}}\n'
+            "summary: pass=3 fail=1\n"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_left_order_fail_fast_keeps_request_order(self, capsys, monkeypatch, fmt):
+        # left-order fails at (3, 7) and (4, 5). Its walk runs p ascending
+        # and n descending, so it meets (4, 5) first and then (3, 7), the
+        # first failure in request order; the report is the request
+        # order's prefix through (3, 7), and no scalar-power check is in it.
+        real, ran = modorder.verify_left_order, []
+
+        def failing(n, p):
+            ran.append((n, p))
+            report = real(n, p)
+            if (n, p) not in ((3, 7), (4, 5)):
+                return report
+            checks = {**report.theorem_checks,
+                      "closed-form-offdiagonal": modorder.CheckResult(FAIL, {})}
+            return report._replace(theorem_checks=checks)
+
+        monkeypatch.setattr(modorder, "verify_left_order", failing)
+        code, out, err = run(capsys, "verify", "--laws", "left-order,scalar-power",
+                             "--n", "2..4", "--primes", "5,7", "--fail-fast",
+                             "--format", fmt)
+        assert (code, err) == (1, "")
+        assert ran == [(4, 5), (3, 5), (2, 5), (3, 7), (2, 7)]
+        expected = self.LEFT_ORDER_FAIL_FAST[fmt]
+        if fmt == "json":
+            out = hashlib.sha256(out.encode()).hexdigest()
+        assert out == expected
+
 
 class TestFalseFourthPowerTheorem:
     """A wrong entry point makes R_n**(4e) != I: a fail verdict, exit 1."""

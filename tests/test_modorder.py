@@ -4,7 +4,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pascalfib import cli, core, fib, modorder
@@ -25,6 +25,8 @@ from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 from oracles import (
     matrix_from_rows,
     matrix_order_by_divisors,
+    modmat_pow_slow,
+    prime_factors_naive,
     primes_below,
     right_order_reports_slow,
     verify_left_order_slow,
@@ -96,6 +98,40 @@ class TestMatrixOrderMod:
         else:
             m, bound = mat_mod(build_right(n), p), 4 * entry_point(p)
         assert matrix_order_mod(m, bound) == matrix_order_by_divisors(m, bound)
+
+
+class TestSquaredUpChain:
+    """The bound's power is squared up from its odd part; the orders
+    found match the ascending divisor walk whatever the bound's 2s."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from(PRIMES_UNDER_100),
+           st.sampled_from(("left", "right")), st.integers(0, 6), st.sampled_from((1, 3, 5, 9)))
+    @example(4, 13, "right", 2, 1)
+    @example(3, 47, "right", 6, 1)
+    @example(5, 7, "left", 0, 9)
+    @example(2, 2, "left", 1, 3)
+    def test_bound_of_each_2_adic_valuation(self, n, p, kind, twos, odd):
+        m = mat_mod((build_left if kind == "left" else build_right)(n), p)
+        order = matrix_order_by_divisors(m, p if kind == "left" else 4 * entry_point(p))
+        own_twos = (order & -order).bit_length() - 1
+        assume(own_twos <= twos)
+        bound = (order >> own_twos) * odd << twos
+        assert matrix_order_mod(m, bound) == matrix_order_by_divisors(m, bound) == order
+        for q in set(prime_factors_naive(order)):
+            short = bound
+            while short % order == 0:
+                short //= q
+            with pytest.raises(BoundNotAnnihilating, match="^bound is not annihilating$"):
+                matrix_order_mod(m, short)
+
+    @pytest.mark.parametrize("twos", range(7))
+    def test_singular_matrix_at_each_2_adic_valuation(self, twos):
+        for m in (ModMatrix(2, 7, ((1, 1), (0, 0))),
+                  ModMatrix(3, 11, ((0, 1, 5), (0, 0, 1), (0, 0, 0)))):
+            with pytest.raises(ValueError, match=f"^matrix is singular modulo {m.p}$") as info:
+                matrix_order_mod(m, 3 << twos)
+            assert type(info.value) is ValueError
 
 
 def modpow_is_identity(m, e):
@@ -423,36 +459,123 @@ class TestLadderMatchesSlowPath:
             assert seen[name] == {key: reports[name] for key, reports in expected.items()}
 
 
+def _left_power_cost(p):
+    """Products that make L^p from the rungs: a squaring per bit below
+    the top one and a multiply per set bit past the first."""
+    return p.bit_length() - 1 + bin(p).count("1") - 1
+
+
+LEFT_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+class TestLeftHeldPower:
+    """verify_left_order, with L_n^p read off the held L_N^p mod p, against
+    one slow power per call in tests/oracles.py, in any call order. The
+    held power serves n <= N at its own p alone: every other call makes
+    its own ladder and is held in its place."""
+
+    @staticmethod
+    def check_calls(mp, calls, held=None):
+        muls = _count_modmat_mul(mp)
+        for n, p in calls:
+            before = muls[0]
+            assert verify_left_order(n, p) == verify_left_order_slow(n, p)
+            if held is not None and held[1] == p and held[0] >= n:
+                assert muls[0] == before
+            else:
+                assert muls[0] - before == _left_power_cost(p)
+                held = (n, p)
+            left = mat_mod(build_left(held[0]), p)
+            assert modorder._left_held == (p, modmat_pow_slow(left, p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2, 9), st.sampled_from(LEFT_PRIMES)),
+                    min_size=1, max_size=12))
+    @example([(n, 7) for n in range(2, 10)])
+    @example([(n, 7) for n in range(9, 1, -1)])
+    @example([(n, p) for n in range(9, 1, -1) for p in (5, 7)])
+    @example([(n, p) for p in (5, 7, 5) for n in range(9, 1, -1)])
+    def test_any_call_order(self, calls):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modorder, "_left_held", None)
+            self.check_calls(mp, calls)
+
+    def test_after_order_left(self, monkeypatch, capsys):
+        # `order left 6 7` holds L_6^7: 7 = 0b111 takes 4 products.
+        monkeypatch.setattr(modorder, "_left_held", None)
+        assert cli.main(["order", "left", "6", "7"]) == 0
+        capsys.readouterr()
+        self.check_calls(monkeypatch, [(5, 7), (6, 7), (8, 7), (3, 5), (2, 7), (8, 7)],
+                         held=(6, 7))
+
+    def test_campaign_after_order_left(self, monkeypatch, capsys):
+        args = ["verify", "--laws", "left-order", "--n", "2..9", "--primes",
+                "13,5,7", "--format", "json"]
+        monkeypatch.setattr(modorder, "_left_held", None)
+        fresh = cli.main(args), capsys.readouterr()
+        for order_args in (["order", "left", "4", "13"], ["order", "left", "9", "5"]):
+            assert cli.main(order_args) == 0
+            capsys.readouterr()
+            assert (cli.main(args), capsys.readouterr()) == fresh
+        assert fresh[0] == 0
+
+
 class TestModularMultiplyCounts:
     def test_order_right_4_13(self, monkeypatch):
-        # R_4 mod 13: e = 7, 4e = 28 = 0b11100, and 13 = 3 mod 5, so the
-        # p-plus-1 law needs R^14. Rungs R^2, R^4, R^8, R^16: 4 squarings.
-        # R^28 = R^4 R^8 R^16: 2 multiplies. Factor removal tries
-        # R^(28/2) = R^14 = R^2 R^4 R^8: 2 (it is -I, so the order keeps
-        # its 2s) and R^(28/7) = R^4, a rung: 0. R^7 = R R^2 R^4: 2.
-        # R^(p+1) = R^14 was already made: 0. In all 4 + 2 + 2 + 2 = 10.
+        # R_4 mod 13: e = 7, 4e = 28 = 7 * 2**2, and 13 = 3 mod 5, so the
+        # p-plus-1 law needs R^14. The odd part first: rungs R^2, R^4
+        # take 2 squarings and R^7 = R R^2 R^4 takes 2 multiplies. R^14
+        # and R^28 take 2 squarings. Factor removal tries R^(28/2) =
+        # R^14, held (it is -I, so the order keeps its 2s), and
+        # R^(28/7) = R^4, a rung. R^e = R^7 and R^(p+1) = R^14 are held
+        # too. In all 2 + 2 + 2 = 6.
         monkeypatch.setattr(modorder, "_right_orders", {})
         muls = _count_modmat_mul(monkeypatch)
         assert cli.main(["order", "right", "4", "13"]) == 0
-        assert muls[0] == 10
+        assert muls[0] == 6
 
     def test_four_right_laws_at_4_13_share_one_ladder(self, monkeypatch):
-        # The same 10 as `order right 4 13`: the one fill per (n, p)
+        # The same 6 as `order right 4 13`: the one fill per (n, p)
         # makes every power the four laws read.
         monkeypatch.setattr(modorder, "_right_orders", {})
         muls = _count_modmat_mul(monkeypatch)
         reports = right_order_reports(4, 13)
         assert all(report.passed for report in reports.values())
-        assert muls[0] == 10
+        assert muls[0] == 6
         right_order_reports(4, 13)
-        assert muls[0] == 10
+        assert muls[0] == 6
 
     def test_left_order_4_13(self, monkeypatch):
         # 13 = 0b1101: rungs L^2, L^4, L^8 take 3 squarings and
         # L^13 = L L^4 L^8 takes 2; the one factor, 13, leaves L^1 = L.
+        monkeypatch.setattr(modorder, "_left_held", None)
         muls = _count_modmat_mul(monkeypatch)
         assert verify_left_order(4, 13).order == 13
         assert muls[0] == 5
+
+    def test_left_order_campaign_at_13_makes_one_ladder(self, monkeypatch, capsys):
+        # n runs 8 down to 2 at p = 13: L_8^13 takes the 5 products of
+        # L_4^13 above, and every smaller L_n^13 is its leading block.
+        monkeypatch.setattr(modorder, "_left_held", None)
+        muls = _count_modmat_mul(monkeypatch)
+        assert cli.main(["verify", "--laws", "left-order", "--n", "2..8",
+                         "--primes", "13"]) == 0
+        capsys.readouterr()
+        assert muls[0] == 5
+
+    def test_order_grid_campaign(self, monkeypatch, capsys):
+        # The seed-1 order-grid campaign of bench/workloads.py. It made
+        # 3188 products while each power came from the rungs alone and
+        # each left-order check made its own L_n^p.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        monkeypatch.setattr(modorder, "_left_held", None)
+        muls = _count_modmat_mul(monkeypatch)
+        assert cli.main([
+            "verify", "--laws", "mod2,left-order,scalar-power,p-minus-1,p-plus-1,"
+            "order-bound,bloom-wall,period-exactness", "--n", "2..8", "--primes",
+            "2,3,5,1567,5081,5519,7121,7219,8467,8563,9067"]) == 0
+        capsys.readouterr()
+        assert muls[0] == 1575
 
 
 class TestFactsComeFromTheMatrix:
