@@ -14,15 +14,16 @@ keeps every M**(m * 2**j) on the way; so the powers N/2, N/4, ... that
 strip the 2s are already made. Every other power is a product of the
 repeated squares.
 
-The right-matrix laws read R_n mod p at e, 4e, the factor-removal
-exponents and p -/+ 1. One ladder per (n, p) makes all of these powers
-once, R_n**e among them on the chain squared up to 4e; the memo keeps
-only what the laws read off them (the order, the scalar that R_n**e
-equals, whether R_n**(p-1) = I and the scalar of R_n**(p+1)), and each
-law compares those with its closed form. Should
-R_n**(4e) = I itself fail, every right-matrix theorem reports that as
-a failed fourth-power-identity check, with no order. Fibonacci values
-enter only as residues, by fast doubling mod p.
+The right-matrix laws read R_n mod p at e, 4e and the factor-removal
+exponents, all made once by one ladder per (n, p), R_n**e among them
+on the chain squared up to 4e. The search verifies R_n**order = I, so
+R_n**(p-1) = I exactly when the order divides p - 1, and R_n**(p+1)
+is the ladder's power at (p + 1) mod the order. The memo keeps only
+what the laws read off these powers (the order, the scalar that R_n**e
+equals and the scalar of R_n**(p+1)), and each law compares those with
+its closed form. Should R_n**(4e) = I itself fail, every right-matrix
+theorem reports that as a failed fourth-power-identity check, with no
+order. Fibonacci values enter only as residues, by fast doubling mod p.
 
 L_N is lower triangular, so for n <= N the leading n x n block of
 L_N**p mod p is L_n**p mod p. One L_N**p per prime, held from the last
@@ -49,7 +50,7 @@ from typing import NamedTuple
 from .core import (ExactMatrix, ModMatrix, _mod, det, is_prime, mat_mod, modmat_mul,
                    strip_prime_factors)
 from .fib import entry_point, fib_pair_mod, pisano_period
-from .pascal import build_left, build_right, left_power_entry
+from .pascal import build_left, build_right, left_power_rows
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
 
@@ -95,10 +96,10 @@ class _Ladder:
 
     def __init__(self, m: ModMatrix, held: dict[int, ModMatrix] | None = None) -> None:
         self.identity = ModMatrix.identity(m.n, m.p)
-        self._powers = {1: m, **(held or {})}
+        self._powers = {0: self.identity, 1: m, **(held or {})}
 
     def power(self, e: int) -> ModMatrix:
-        """m**e for e >= 1."""
+        """m**e for e >= 0."""
         powers = self._powers
         result = powers.get(e)
         if result is None:
@@ -129,14 +130,14 @@ class _Ladder:
         return result
 
 
-def _order(ladder: _Ladder, exponent_bound: int) -> int:
+def _order(ladder: _Ladder, exponent_bound: int) -> int | None:
     """Least annihilating exponent of the ladder's matrix, by factor
-    removal from an exponent bound that must annihilate it. The bound's
-    power is squared up from its odd part, so the chain holds every
-    exponent that stripping the 2s tries."""
+    removal from the exponent bound, or None if the bound does not
+    annihilate it. The bound's power is squared up from its odd part,
+    so the chain holds every exponent that stripping the 2s tries."""
     ident = ladder.identity
     if ladder.squared_up(exponent_bound) != ident:
-        raise BoundNotAnnihilating("bound is not annihilating")
+        return None
     return strip_prime_factors(exponent_bound, lambda k: ladder.power(k) == ident)
 
 
@@ -157,12 +158,12 @@ def matrix_order_mod(m: ModMatrix, exponent_bound: int) -> int:
     """
     if exponent_bound < 1:
         raise ValueError("exponent bound must be positive")
-    try:
-        return _order(_Ladder(m), exponent_bound)
-    except BoundNotAnnihilating:
+    order = _order(_Ladder(m), exponent_bound)
+    if order is None:
         if gcd(det(ExactMatrix(m.n, m.rows)), m.p) != 1:
-            raise ValueError(f"matrix is singular modulo {m.p}") from None
-        raise
+            raise ValueError(f"matrix is singular modulo {m.p}")
+        raise BoundNotAnnihilating("bound is not annihilating")
+    return order
 
 
 def _scalar_of(m: ModMatrix) -> int | None:
@@ -203,17 +204,19 @@ def verify_left_order(n: int, p: int) -> OrderReport:
 
     A second, independent confirmation comes from the power closed
     form: every off-diagonal entry of the p-th power is divisible by p.
+    Should L_n**p = I itself fail, no order is searched for, and
+    order-equals-p fails with none.
     """
     if n < 2:
         raise ValueError("the order theorem requires n >= 2 (L_1 has order 1)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     order = _order(_left_ladder(n, p), p)
-    offdiag = all(left_power_entry(p, i, j) % p == 0
-                  for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+    offdiag = all(x % p == 0 for i, row in enumerate(left_power_rows(n, p))
+                  for j, x in enumerate(row) if i != j)
     checks = {
         "order-equals-p": CheckResult(PASS if order == p else FAIL,
-                                      {"order": order}),
+                                      {} if order is None else {"order": order}),
         "closed-form-offdiagonal": CheckResult(PASS if offdiag else FAIL, {}),
     }
     return OrderReport("left", n, p, order, p, checks)
@@ -222,17 +225,19 @@ def verify_left_order(n: int, p: int) -> OrderReport:
 class _RightFacts(NamedTuple):
     """What the right-matrix laws need to know about R_n mod p.
 
-    Every field is an integer, a bool or None, read off powers of R_n
-    alone; the laws compare them with their closed forms.
+    Every field is an integer, a bool or None; the order and the two
+    scalars are read off powers of R_n alone, and the laws compare them
+    with their closed forms. R_n**(p-1) = I needs no field: it holds
+    exactly when the order divides p - 1.
     """
 
-    e: int                          # entry point of p
-    order: int | None               # None where R_n**(4e) != I
-    scalar_e: int | None            # s with R_n**e = s * I, else None
-    pminus1_identity: bool | None   # R_n**(p-1) == I; None unless p | F_{p-1}
-    pplus1_hypothesis: bool         # p | F_{p+1}
-    pplus1_scalar: int | None       # s with R_n**(p+1) = s * I; None unless
-                                    # p | F_{p+1} and that power is scalar
+    e: int                      # entry point of p
+    order: int | None           # None where R_n**(4e) != I
+    scalar_e: int | None        # s with R_n**e = s * I, else None
+    pplus1_hypothesis: bool     # p | F_{p+1}
+    pplus1_scalar: int | None   # s with R_n**(p+1) = s * I; None unless
+                                # there is an order, p | F_{p+1} and that
+                                # power is scalar
 
 
 # (n, p) -> the facts above. No matrix is kept, so the memo stays small
@@ -243,21 +248,17 @@ _right_orders: dict[tuple[int, int], _RightFacts] = {}
 
 
 def _right_facts(n: int, p: int) -> _RightFacts:
-    """Every power of R_n mod p that a right-matrix law reads, from one ladder."""
+    """Every power of R_n mod p that a right-matrix law reads, from one
+    ladder. R_n**(p+1) is read only where the search verified
+    R_n**order = I, so it is the power at (p + 1) mod the order."""
     ladder = _Ladder(mat_mod(build_right(n), p))
     e = entry_point(p)
-    try:
-        order = _order(ladder, 4 * e)
-    except BoundNotAnnihilating:
-        order = None
-    pminus1 = pplus1 = None
-    if fib_pair_mod(p - 1, p)[0] == 0:
-        pminus1 = ladder.power(p - 1) == ladder.identity
+    order = _order(ladder, 4 * e)
     pplus1_hypothesis = fib_pair_mod(p + 1, p)[0] == 0
-    if pplus1_hypothesis:
-        pplus1 = _scalar_of(ladder.power(p + 1))
-    return _RightFacts(e, order, _scalar_of(ladder.power(e)), pminus1,
-                       pplus1_hypothesis, pplus1)
+    pplus1 = None
+    if order is not None and pplus1_hypothesis:
+        pplus1 = _scalar_of(ladder.power((p + 1) % order))
+    return _RightFacts(e, order, _scalar_of(ladder.power(e)), pplus1_hypothesis, pplus1)
 
 
 def _right_order_data(n: int, p: int) -> _RightFacts:
@@ -313,15 +314,16 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
 
 
 def verify_pminus1(n: int, p: int) -> OrderReport:
-    """If p | F_{p-1}, assert R_n**(p-1) = I mod p."""
+    """If p | F_{p-1}, assert R_n**(p-1) = I mod p, which holds exactly
+    when the order of R_n divides p - 1."""
     facts = _right_order_data(n, p)
     if facts.order is None:
         return _fourth_power_failure(n, p, facts.e)
-    if facts.pminus1_identity is None:  # p does not divide F_{p-1}
+    if fib_pair_mod(p - 1, p)[0]:  # p does not divide F_{p-1}
         checks = {"p-minus-1-identity": CheckResult(HYPOTHESIS_NOT_MET, {})}
     else:
         checks = {"p-minus-1-identity": CheckResult(
-            PASS if facts.pminus1_identity else FAIL, {})}
+            PASS if (p - 1) % facts.order == 0 else FAIL, {})}
     return OrderReport("right", n, p, facts.order, 4 * facts.e, checks)
 
 

@@ -60,29 +60,18 @@ def build_right(n: int) -> ExactMatrix:
     return right
 
 
-def left_power_entry(e: int, i: int, j: int) -> int:
-    """Entry (i, j) of the e-th power of the left Pascal matrix.
-
-    Closed form e**(i-j) * C(i-1, j-1), valid for any integer e under
-    the 0**0 == 1 convention; zero above the diagonal.
-    """
-    if i < 1 or j < 1:
-        raise ValueError("indices are 1-based")
-    if j > i:
-        return 0
-    return e ** (i - j) * binomial(i - 1, j - 1)
-
-
 # (e, N, rows of L_N**e) as left_power_rows last built them. For n <= N
 # the rows of L_n**e are the first n rows of L_N**e, each cut to n
-# cells, and a campaign asks for each e with n descending, so one table
-# per e serves every n. The tuple is rebound whole.
+# cells, and a campaign asks for each e (left-order: each p) with n
+# descending, so one table per e serves every n. The tuple is rebound
+# whole.
 _left_rows: tuple[int, int, tuple[tuple[int, ...], ...]] = (0, 0, ())
 
 
 def left_power_rows(n: int, e: int) -> Iterator[tuple[int, ...]]:
     """Rows 1..n of the e-th power of the n x n left Pascal matrix by
-    the closed form of left_power_entry, e**(i-j) * C(i-1, j-1).
+    the closed form e**(i-j) * C(i-1, j-1), valid for any integer e
+    under the 0**0 == 1 convention; zero above the diagonal.
 
     The rows are cut from the table of the last wider or equal N asked
     for at the same e; otherwise the table is built for N = n, with each

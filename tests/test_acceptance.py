@@ -26,12 +26,12 @@ from pascalfib.pascal import (
     build_left,
     build_right,
     left_inverse,
-    left_power_entry,
+    left_power_rows,
     right_inverse,
 )
 from pascalfib.report import PASS
 
-from oracles import entry, matrix_from_rows
+from oracles import matrix_from_rows
 
 PRIMES_UNDER_200 = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -53,10 +53,8 @@ def test_criterion_01_mod2_identities():
     report(1, "L_n^2 = I and R_n^3 = I mod 2 for n in 2..64")
 
 
-def left_closed_form_holds(n: int, e: int, entry_fn=left_power_entry) -> bool:
-    power = mat_pow(build_left(n), e)
-    return all(entry(power, i, j) == entry_fn(e, i, j)
-               for i in range(1, n + 1) for j in range(1, n + 1))
+def left_closed_form_holds(n: int, e: int, rows_fn=left_power_rows) -> bool:
+    return mat_pow(build_left(n), e).rows == tuple(rows_fn(n, e))
 
 
 def test_criterion_02_left_power_closed_form():
@@ -199,7 +197,8 @@ class TestCriterion13MutationAudit:
     """
 
     def test_left_power_exponent_corruption(self):
-        corrupted = lambda e, i, j: left_power_entry(e, i, j) * (2 if i > j else 1)
+        corrupted = lambda n, e: (tuple(x * (2 if i > j else 1) for j, x in enumerate(row))
+                                  for i, row in enumerate(left_power_rows(n, e)))
         assert not left_closed_form_holds(5, 3, corrupted)
 
     def test_fib_recurrence_coefficient_corruption(self, monkeypatch):
@@ -246,9 +245,9 @@ class TestCriterion13MutationAudit:
         assert not rep.passed
 
     def test_left_order_closed_form_corruption(self, monkeypatch):
-        monkeypatch.setattr(modorder, "left_power_entry",
-                            lambda e, i, j: left_power_entry(e, i, j)
-                            + (i == 3 and j == 1))
+        monkeypatch.setattr(modorder, "left_power_rows", lambda n, e: (
+            tuple(x + (i == 3 and j == 1) for j, x in enumerate(row, 1))
+            for i, row in enumerate(left_power_rows(n, e), 1)))
         rep = modorder.verify_left_order(4, 7)
         assert rep.theorem_checks["closed-form-offdiagonal"].verdict != PASS
 

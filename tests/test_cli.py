@@ -636,6 +636,53 @@ class TestExitCodeContract:
         assert out == expected
 
 
+class TestFalseLeftOrderTheorem:
+    """R_n in place of L_n makes L_n**p != I: a fail verdict, exit 1."""
+
+    WITNESS = ('{"order":null,"checks":{"order-equals-p":"fail",'
+               '"closed-form-offdiagonal":"pass"}}')
+
+    @pytest.fixture(autouse=True)
+    def right_for_left(self, monkeypatch):
+        monkeypatch.setattr(modorder, "build_left", build_right)
+        monkeypatch.setattr(modorder, "_left_held", None)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_verify_left_order_fails(self, capsys, fmt):
+        code, out, err = run(capsys, "verify", "--laws", "left-order", "--n", "3",
+                             "--primes", "7", "--format", fmt)
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            assert json.loads(out)["checks"] == [
+                {"law": "left-order", "params": {"n": 3, "p": 7}, "verdict": FAIL,
+                 "witness": json.loads(self.WITNESS)}]
+        elif fmt == "csv":
+            assert out == ("law,n,e,p,verdict,witness\n"
+                           f"left-order,3,,7,fail,{self.WITNESS.replace(',', ';')}\n")
+        else:
+            assert out == ("FAIL               left-order               n=3 p=7  "
+                           f"witness={self.WITNESS}\nsummary: pass=0 fail=1\n")
+
+    def test_order_left_fails(self, capsys):
+        code, out, err = run(capsys, "order", "left", "3", "7", "--format", "json")
+        assert (code, err) == (1, "")
+        assert '"order": null' in out
+        report = json.loads(out)
+        assert report["order"] is None
+        assert report["theorem_checks"] == {
+            "order-equals-p": {"verdict": FAIL, "values": {}},
+            "closed-form-offdiagonal": {"verdict": PASS, "values": {}}}
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", "field,value\nkind,left\nn,3\np,7\norder,None\nwitness_exponent_bound,7\n"
+                "check:order-equals-p,fail\ncheck:closed-form-offdiagonal,pass\n"),
+        ("plain", "kind: left\nn: 3\np: 7\norder: None\nwitness_exponent_bound: 7\n"
+                  "check order-equals-p: fail\ncheck closed-form-offdiagonal: pass\n"),
+    ])
+    def test_order_left_csv_and_plain_bytes(self, capsys, fmt, expected):
+        assert run(capsys, "order", "left", "3", "7", "--format", fmt) == (1, expected, "")
+
+
 class TestFalseFourthPowerTheorem:
     """A wrong entry point makes R_n**(4e) != I: a fail verdict, exit 1."""
 
@@ -697,6 +744,27 @@ class TestGoldenCampaign:
         ("json", "1"), ("csv", "1"), ("plain", "1"), ("json", "2")])
     def test_stdout_digest(self, capsys, fmt, threads):
         code, out, err = run(capsys, *self.ARGS, "--format", fmt, "--threads", threads)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
+
+
+class TestGoldenOffChainCampaign:
+    """The p -/+ 1 laws at primes where p -/+ 1 is off the entry point's
+    chain e, 2e, 4e (47: p + 1 = 3e; 89: p - 1 = 8e; 4157: p + 1 = 14e),
+    byte for byte as recorded when both powers came from the rungs."""
+
+    ARGS = ("verify", "--laws", "scalar-power,p-minus-1,p-plus-1,order-bound",
+            "--n", "2..8", "--primes", "2,5,47,89,4157")
+    DIGESTS = {
+        "json": "040d5b4cf86f5589e39101f9751d508dd51a82088483b7c955889929d381f84f",
+        "csv": "6712aaa9c3805e6f8b4d750e0d931b34151ea65e8c7cc9c618f5a979a7422e1d",
+        "plain": "a8265ded12300bbcc426623a52092b09f8b540db26c87f0ece83842039d400e2",
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_stdout_digest(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        code, out, err = run(capsys, *self.ARGS, "--format", fmt)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
 

@@ -22,6 +22,7 @@ from pascalfib.modorder import (
 from pascalfib.pascal import build_left, build_right
 from pascalfib.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 
+import oracles
 from oracles import (
     matrix_from_rows,
     matrix_order_by_divisors,
@@ -527,11 +528,38 @@ class TestModularMultiplyCounts:
         # take 2 squarings and R^7 = R R^2 R^4 takes 2 multiplies. R^14
         # and R^28 take 2 squarings. Factor removal tries R^(28/2) =
         # R^14, held (it is -I, so the order keeps its 2s), and
-        # R^(28/7) = R^4, a rung. R^e = R^7 and R^(p+1) = R^14 are held
-        # too. In all 2 + 2 + 2 = 6.
+        # R^(28/7) = R^4, a rung. R^e = R^7 is held too, and so is
+        # R^(p+1), read at 14 mod the order 28. In all 2 + 2 + 2 = 6.
         monkeypatch.setattr(modorder, "_right_orders", {})
         muls = _count_modmat_mul(monkeypatch)
         assert cli.main(["order", "right", "4", "13"]) == 0
+        assert muls[0] == 6
+
+    def test_order_right_4_89(self, monkeypatch):
+        # R_4 mod 89: e = 11 and 4e = 44 = 11 * 2**2. R^11 = R R^2 R^8
+        # takes 3 squarings and 2 multiplies, and R^22, R^44 take 2 more
+        # squarings. Factor removal tries R^22, held, and R^4, a rung:
+        # the order is 44. 89 = 4 mod 5, so the p-minus-1 law asks for
+        # R^88 = R^(8e), off the chain; 88 % 44 = 0 decides it with no
+        # product. Made from the rungs it took 5 more, 12 in all.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        muls = _count_modmat_mul(monkeypatch)
+        reports = right_order_reports(4, 89)
+        assert reports["p-minus-1"].theorem_checks["p-minus-1-identity"].verdict == PASS
+        assert all(report.passed for report in reports.values())
+        assert muls[0] == 7
+
+    def test_order_right_4_47(self, monkeypatch):
+        # R_4 mod 47: e = 16 and 4e = 64, squared up from R in 6
+        # squarings. Factor removal tries R^32 = I, held, then R^16 = -I:
+        # the order is 32. 47 = 2 mod 5, so the p-plus-1 law asks for
+        # R^48 = R^(3e); 48 mod 32 = 16 reads the held R^e. Made from
+        # the rungs, R^48 = R^16 R^32 took 1 more multiply, 7 in all.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        muls = _count_modmat_mul(monkeypatch)
+        reports = right_order_reports(4, 47)
+        assert reports["p-plus-1"].theorem_checks["p-plus-1-identity"].verdict == PASS
+        assert all(report.passed for report in reports.values())
         assert muls[0] == 6
 
     def test_four_right_laws_at_4_13_share_one_ladder(self, monkeypatch):
@@ -566,7 +594,8 @@ class TestModularMultiplyCounts:
     def test_order_grid_campaign(self, monkeypatch, capsys):
         # The seed-1 order-grid campaign of bench/workloads.py. It made
         # 3188 products while each power came from the rungs alone and
-        # each left-order check made its own L_n^p.
+        # each left-order check made its own L_n^p, and 1575 while
+        # R_n^(p-1) and R_n^(p+1) came from the rungs.
         monkeypatch.setattr(modorder, "_right_orders", {})
         monkeypatch.setattr(modorder, "_left_held", None)
         muls = _count_modmat_mul(monkeypatch)
@@ -575,7 +604,7 @@ class TestModularMultiplyCounts:
             "order-bound,bloom-wall,period-exactness", "--n", "2..8", "--primes",
             "2,3,5,1567,5081,5519,7121,7219,8467,8563,9067"]) == 0
         capsys.readouterr()
-        assert muls[0] == 1575
+        assert muls[0] == 1442
 
 
 class TestFactsComeFromTheMatrix:
@@ -634,3 +663,24 @@ class TestFalseFourthPowerTheorem:
         wrong_entry_point_at_13(monkeypatch)
         assert verify_order_bound(4, 11).passed
         assert verify_order_bound(4, 11).order == 10
+
+
+class TestFalseLeftOrderTheorem:
+    """L_n**p != I is a failed order-equals-p with no order, not a usage
+    error. R_n stands in for L_n, in the library and in the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def right_for_left(self, monkeypatch):
+        monkeypatch.setattr(modorder, "build_left", build_right)
+        monkeypatch.setattr(oracles, "build_left", build_right)
+        monkeypatch.setattr(modorder, "_left_held", None)
+
+    @pytest.mark.parametrize("n, p", [(3, 7), (2, 5), (4, 13), (6, 2)])
+    def test_matches_slow_path(self, n, p):
+        report = verify_left_order(n, p)
+        assert report == verify_left_order_slow(n, p)
+        assert report.order is None
+        assert not report.passed
+        assert report.theorem_checks == {
+            "order-equals-p": modorder.CheckResult(FAIL, {}),
+            "closed-form-offdiagonal": modorder.CheckResult(PASS, {})}

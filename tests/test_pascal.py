@@ -12,11 +12,10 @@ from pascalfib.pascal import (
     build_left,
     build_right,
     left_inverse,
-    left_power_entry,
     left_power_rows,
     right_inverse,
 )
-from oracles import binomial_triangle, entry, matrix_from_rows
+from oracles import binomial_triangle, entry, left_power_entry, matrix_from_rows
 
 
 class TestBinomial:
@@ -119,48 +118,38 @@ class TestBuilders:
 
 
 class TestLeftPowerEntry:
+    """Single entries and whole powers of left_power_rows' closed form."""
+
     def test_brute_forced_value(self):
         # L_4**3 entry (4, 2), cross-checked against mat_pow below.
-        assert left_power_entry(3, 4, 2) == 27
+        assert tuple(left_power_rows(4, 3))[3][1] == 27
         assert entry(mat_pow(build_left(4), 3), 4, 2) == 27
 
     @pytest.mark.parametrize("e", [-2, 0, 1, 7])
     def test_diagonal_is_one(self, e):
+        rows = tuple(left_power_rows(5, e))
         for i in (1, 2, 5):
-            assert left_power_entry(e, i, i) == 1
+            assert rows[i - 1][i - 1] == 1
 
     def test_inverse_entry(self):
-        assert left_power_entry(-1, 3, 1) == 1
+        assert tuple(left_power_rows(3, -1))[2][0] == 1
 
     def test_above_diagonal_is_zero(self):
-        assert left_power_entry(9, 2, 5) == 0
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            left_power_entry(2, 0, 1)
+        assert tuple(left_power_rows(5, 9))[1][4] == 0
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_mat_pow_for_positive_exponents(self, n):
         for e in range(1, 11):
-            power = mat_pow(build_left(n), e)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    assert entry(power, i, j) == left_power_entry(e, i, j)
+            assert mat_pow(build_left(n), e).rows == tuple(left_power_rows(n, e)), e
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_mat_pow_for_negative_exponents(self, n):
         for e in (-3, -2, -1):
-            power = mat_pow(build_left(n), e)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    assert entry(power, i, j) == left_power_entry(e, i, j)
+            assert mat_pow(build_left(n), e).rows == tuple(left_power_rows(n, e)), e
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_exponent_minus_one_reproduces_left_inverse(self, n):
-        inv = left_inverse(n)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                assert entry(inv, i, j) == left_power_entry(-1, i, j)
+        assert left_inverse(n).rows == tuple(left_power_rows(n, -1))
 
 
 class TestLeftPowerRows:
