@@ -173,6 +173,7 @@ def _report_lines(payload: dict[str, Any], fmt: str) -> str:
         if key == "object":
             continue
         if not isinstance(value, dict):
+            value = "null" if value is None else value  # as json prints it
             lines.append(f"{key},{value}\n" if fmt == "csv" else f"{key}: {value}\n")
             continue
         for name, check in value.items():

@@ -18,12 +18,13 @@ The right-matrix laws read R_n mod p at e, 4e and the factor-removal
 exponents, all made once by one ladder per (n, p), R_n**e among them
 on the chain squared up to 4e. The search verifies R_n**order = I, so
 R_n**(p-1) = I exactly when the order divides p - 1, and R_n**(p+1)
-is the ladder's power at (p + 1) mod the order. The memo keeps only
-what the laws read off these powers (the order, the scalar that R_n**e
-equals and the scalar of R_n**(p+1)), and each law compares those with
-its closed form. Should R_n**(4e) = I itself fail, every right-matrix
-theorem reports that as a failed fourth-power-identity check, with no
-order. Fibonacci values enter only as residues, by fast doubling mod p.
+is the ladder's power at (p + 1) mod the order. One fill per (n, p)
+compares these powers with their closed forms for all four laws, and
+the memo keeps the four reports, which hold no matrix; each
+right-matrix verifier looks its report up. Should R_n**(4e) = I itself
+fail, every right-matrix theorem reports that as a failed
+fourth-power-identity check, with no order. Fibonacci values enter
+only as residues, by fast doubling mod p.
 
 L_N is lower triangular, so for n <= N the leading n x n block of
 L_N**p mod p is L_n**p mod p. One L_N**p per prime, held from the last
@@ -222,62 +223,81 @@ def verify_left_order(n: int, p: int) -> OrderReport:
     return OrderReport("left", n, p, order, p, checks)
 
 
-class _RightFacts(NamedTuple):
-    """What the right-matrix laws need to know about R_n mod p.
-
-    Every field is an integer, a bool or None; the order and the two
-    scalars are read off powers of R_n alone, and the laws compare them
-    with their closed forms. R_n**(p-1) = I needs no field: it holds
-    exactly when the order divides p - 1.
-    """
-
-    e: int                      # entry point of p
-    order: int | None           # None where R_n**(4e) != I
-    scalar_e: int | None        # s with R_n**e = s * I, else None
-    pplus1_hypothesis: bool     # p | F_{p+1}
-    pplus1_scalar: int | None   # s with R_n**(p+1) = s * I; None unless
-                                # there is an order, p | F_{p+1} and that
-                                # power is scalar
+# (n, p) -> the reports of the four right-matrix laws, keyed by law id.
+# No matrix is kept, so the memo stays small however many (n, p) a
+# campaign visits. The reports depend on (n, p) alone, so two threads
+# that fill the same (n, p) at once store equal values.
+_right_orders: dict[tuple[int, int], dict[str, OrderReport]] = {}
 
 
-# (n, p) -> the facts above. No matrix is kept, so the memo stays small
-# however many (n, p) a campaign visits. The facts depend on (n, p)
-# alone, so two threads that fill the same (n, p) at once store equal
-# values.
-_right_orders: dict[tuple[int, int], _RightFacts] = {}
-
-
-def _right_facts(n: int, p: int) -> _RightFacts:
-    """Every power of R_n mod p that a right-matrix law reads, from one
-    ladder. R_n**(p+1) is read only where the search verified
-    R_n**order = I, so it is the power at (p + 1) mod the order."""
+def _right_order_reports(n: int, p: int) -> dict[str, OrderReport]:
+    """The reports of scalar-power, p-minus-1, p-plus-1 and order-bound
+    at (n, p), every power read off one ladder of R_n mod p. Only valid
+    (n, p) are stored, so n and p are checked on a miss alone."""
+    reports = _right_orders.get((n, p))
+    if reports is not None:
+        return reports
+    if n < 2:
+        raise ValueError("right-matrix theorems require n >= 2")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     ladder = _Ladder(mat_mod(build_right(n), p))
     e = entry_point(p)
     order = _order(ladder, 4 * e)
-    pplus1_hypothesis = fib_pair_mod(p + 1, p)[0] == 0
-    pplus1 = None
-    if order is not None and pplus1_hypothesis:
-        pplus1 = _scalar_of(ladder.power((p + 1) % order))
-    return _RightFacts(e, order, _scalar_of(ladder.power(e)), pplus1_hypothesis, pplus1)
 
+    def report(checks: dict[str, CheckResult]) -> OrderReport:
+        return OrderReport("right", n, p, order, 4 * e, checks)
 
-def _right_order_data(n: int, p: int) -> _RightFacts:
-    """The memo's facts for (n, p). Only valid (n, p) are ever stored,
-    so n and p are checked on a miss alone."""
-    facts = _right_orders.get((n, p))
-    if facts is None:
-        if n < 2:
-            raise ValueError("right-matrix theorems require n >= 2")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        facts = _right_orders[(n, p)] = _right_facts(n, p)
-    return facts
-
-
-def _fourth_power_failure(n: int, p: int, e: int) -> OrderReport:
-    """The report of a right-matrix law whose premise R_n**(4e) = I is false."""
-    return OrderReport("right", n, p, None, 4 * e, {
-        "fourth-power-identity": CheckResult(FAIL, {"entry_point": e})})
+    scalar_e = _scalar_of(ladder.power(e))
+    f_prev = fib_pair_mod(e - 1, p)[0]
+    generic = pow(f_prev, n - 1, p)
+    if n % 2 == 0:
+        refined = pow(-1, (n // 2 + 1) * e, p) * f_prev % p
+        refined_id = "signed-scalar-even"
+    else:
+        refined = pow(-1, (n - 1) // 2 * e, p)
+        refined_id = "signed-scalar-odd"
+    reports = {"scalar-power": report({
+        "scalar-form": CheckResult(PASS if scalar_e == generic else FAIL,
+                                   {"entry_point": e, "scalar": generic}),
+        refined_id: CheckResult(PASS if scalar_e == refined else FAIL, {"scalar": refined}),
+        # The order search found R_n**(4e) = I exactly when it found an order.
+        "fourth-power-identity": CheckResult(PASS if order is not None else FAIL, {}),
+    })}
+    if order is None:
+        failure = report({"fourth-power-identity": CheckResult(FAIL, {"entry_point": e})})
+        reports.update(dict.fromkeys(("p-minus-1", "p-plus-1", "order-bound"), failure))
+    else:
+        # The search verified R_n**order = I, so R_n**(p-1) = I exactly
+        # when the order divides p - 1, and R_n**(p+1) is the ladder's
+        # power at (p + 1) mod the order.
+        if fib_pair_mod(p - 1, p)[0]:  # p does not divide F_{p-1}
+            pminus1 = CheckResult(HYPOTHESIS_NOT_MET, {})
+        else:
+            pminus1 = CheckResult(PASS if (p - 1) % order == 0 else FAIL, {})
+        if fib_pair_mod(p + 1, p)[0]:  # p does not divide F_{p+1}
+            pplus1 = CheckResult(HYPOTHESIS_NOT_MET, {})
+        else:
+            scalar = 1 if n % 2 == 1 else (p - 1) % p
+            pplus1 = CheckResult(
+                PASS if _scalar_of(ladder.power((p + 1) % order)) == scalar else FAIL,
+                {"scalar": scalar})
+        if p == 5:
+            within = CheckResult(HYPOTHESIS_NOT_MET, {"order": order})
+        else:
+            within = CheckResult(PASS if order <= 2 * (p + 1) else FAIL,
+                                 {"order": order, "bound": 2 * (p + 1)})
+        if p % 5 in (2, 3) and n % 2 == 0 and pisano_period(p) == 2 * (p + 1):
+            tight = CheckResult(PASS if order == 2 * (p + 1) else FAIL,
+                                {"order": order, "bound": 2 * (p + 1)})
+        else:
+            tight = CheckResult(HYPOTHESIS_NOT_MET, {"order": order})
+        reports["p-minus-1"] = report({"p-minus-1-identity": pminus1})
+        reports["p-plus-1"] = report({"p-plus-1-identity": pplus1})
+        reports["order-bound"] = report({"within-2p-plus-2": within,
+                                         "tightness-even-dimension": tight})
+    _right_orders[(n, p)] = reports
+    return reports
 
 
 def verify_scalar_power(n: int, p: int) -> OrderReport:
@@ -287,58 +307,18 @@ def verify_scalar_power(n: int, p: int) -> OrderReport:
     (-1)**((k+1)e) * F_{e-1} * I for n = 2k and (-1)**(ke) * I for
     n = 2k+1. Also asserts the fourth-power identity R_n**(4e) = I.
     """
-    facts = _right_order_data(n, p)
-    e = facts.e
-    f_prev = fib_pair_mod(e - 1, p)[0]
-    generic = pow(f_prev, n - 1, p)
-    if n % 2 == 0:
-        k = n // 2
-        refined = pow(-1, (k + 1) * e, p) * f_prev % p
-        refined_id = "signed-scalar-even"
-    else:
-        k = (n - 1) // 2
-        refined = pow(-1, k * e, p)
-        refined_id = "signed-scalar-odd"
-    checks = {
-        "scalar-form": CheckResult(
-            PASS if facts.scalar_e == generic else FAIL,
-            {"entry_point": e, "scalar": generic}),
-        refined_id: CheckResult(
-            PASS if facts.scalar_e == refined else FAIL,
-            {"scalar": refined}),
-        # The order search found R_n**(4e) = I exactly when it found an order.
-        "fourth-power-identity": CheckResult(
-            PASS if facts.order is not None else FAIL, {}),
-    }
-    return OrderReport("right", n, p, facts.order, 4 * e, checks)
+    return _right_order_reports(n, p)["scalar-power"]
 
 
 def verify_pminus1(n: int, p: int) -> OrderReport:
     """If p | F_{p-1}, assert R_n**(p-1) = I mod p, which holds exactly
     when the order of R_n divides p - 1."""
-    facts = _right_order_data(n, p)
-    if facts.order is None:
-        return _fourth_power_failure(n, p, facts.e)
-    if fib_pair_mod(p - 1, p)[0]:  # p does not divide F_{p-1}
-        checks = {"p-minus-1-identity": CheckResult(HYPOTHESIS_NOT_MET, {})}
-    else:
-        checks = {"p-minus-1-identity": CheckResult(
-            PASS if (p - 1) % facts.order == 0 else FAIL, {})}
-    return OrderReport("right", n, p, facts.order, 4 * facts.e, checks)
+    return _right_order_reports(n, p)["p-minus-1"]
 
 
 def verify_pplus1(n: int, p: int) -> OrderReport:
     """If p | F_{p+1}, assert R_n**(p+1) = I (odd n) or -I (even n) mod p."""
-    facts = _right_order_data(n, p)
-    if facts.order is None:
-        return _fourth_power_failure(n, p, facts.e)
-    if not facts.pplus1_hypothesis:
-        checks = {"p-plus-1-identity": CheckResult(HYPOTHESIS_NOT_MET, {})}
-    else:
-        scalar = 1 if n % 2 == 1 else (p - 1) % p
-        checks = {"p-plus-1-identity": CheckResult(
-            PASS if facts.pplus1_scalar == scalar else FAIL, {"scalar": scalar})}
-    return OrderReport("right", n, p, facts.order, 4 * facts.e, checks)
+    return _right_order_reports(n, p)["p-plus-1"]
 
 
 def verify_order_bound(n: int, p: int) -> OrderReport:
@@ -349,21 +329,4 @@ def verify_order_bound(n: int, p: int) -> OrderReport:
     order == 2(p+1) exactly, and applies only with n even to primes in
     the +-2 mod 5 class whose Pisano period is 2(p+1).
     """
-    e, order = _right_order_data(n, p)[:2]
-    if order is None:
-        return _fourth_power_failure(n, p, e)
-    if p == 5:
-        bound_check = CheckResult(HYPOTHESIS_NOT_MET, {"order": order})
-    else:
-        bound_check = CheckResult(PASS if order <= 2 * (p + 1) else FAIL,
-                                  {"order": order, "bound": 2 * (p + 1)})
-    if p % 5 in (2, 3) and n % 2 == 0 and pisano_period(p) == 2 * (p + 1):
-        tight_check = CheckResult(PASS if order == 2 * (p + 1) else FAIL,
-                                  {"order": order, "bound": 2 * (p + 1)})
-    else:
-        tight_check = CheckResult(HYPOTHESIS_NOT_MET, {"order": order})
-    checks = {
-        "within-2p-plus-2": bound_check,
-        "tightness-even-dimension": tight_check,
-    }
-    return OrderReport("right", n, p, order, 4 * e, checks)
+    return _right_order_reports(n, p)["order-bound"]

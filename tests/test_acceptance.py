@@ -240,6 +240,9 @@ class TestCriterion13MutationAudit:
         def corrupted(k, m):
             a, b = fib_pair_mod(k, m)
             return (a + (k == 6)) % m, b
+        # The fill reads F_{e-1} once per (n, p): a report made before the
+        # corruption would hide it.
+        monkeypatch.setattr(modorder, "_right_orders", {})
         monkeypatch.setattr(modorder, "fib_pair_mod", corrupted)
         rep = modorder.verify_scalar_power(4, 13)
         assert not rep.passed

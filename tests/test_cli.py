@@ -674,9 +674,9 @@ class TestFalseLeftOrderTheorem:
             "closed-form-offdiagonal": {"verdict": PASS, "values": {}}}
 
     @pytest.mark.parametrize("fmt, expected", [
-        ("csv", "field,value\nkind,left\nn,3\np,7\norder,None\nwitness_exponent_bound,7\n"
+        ("csv", "field,value\nkind,left\nn,3\np,7\norder,null\nwitness_exponent_bound,7\n"
                 "check:order-equals-p,fail\ncheck:closed-form-offdiagonal,pass\n"),
-        ("plain", "kind: left\nn: 3\np: 7\norder: None\nwitness_exponent_bound: 7\n"
+        ("plain", "kind: left\nn: 3\np: 7\norder: null\nwitness_exponent_bound: 7\n"
                   "check order-equals-p: fail\ncheck closed-form-offdiagonal: pass\n"),
     ])
     def test_order_left_csv_and_plain_bytes(self, capsys, fmt, expected):
@@ -720,9 +720,9 @@ class TestFalseFourthPowerTheorem:
             "verdict": FAIL, "values": {"entry_point": "8"}}
 
     @pytest.mark.parametrize("fmt, expected", [
-        ("csv", "field,value\nkind,right\nn,4\np,13\norder,None\n"
+        ("csv", "field,value\nkind,right\nn,4\np,13\norder,null\n"
                 "witness_exponent_bound,32\ncheck:fourth-power-identity,fail\n"),
-        ("plain", "kind: right\nn: 4\np: 13\norder: None\nwitness_exponent_bound: 32\n"
+        ("plain", "kind: right\nn: 4\np: 13\norder: null\nwitness_exponent_bound: 32\n"
                   "check fourth-power-identity: fail (entry_point=8)\n"),
     ])
     def test_order_right_csv_and_plain_bytes(self, capsys, fmt, expected):

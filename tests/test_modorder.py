@@ -291,9 +291,9 @@ class TestOrderBound:
 
 
 class TestRightOrderMemo:
-    def test_pplus1_hypothesis_evaluated_once_per_fill(self, monkeypatch):
-        # p | F_{p+1} is evaluated by the memo fill alone; verify_pplus1
-        # reads it from the facts, as verify_pminus1 reads its own.
+    def test_fib_hypotheses_evaluated_once_per_fill(self, monkeypatch):
+        # F_{e-1}, p | F_{p-1} and p | F_{p+1} are evaluated by the memo
+        # fill alone, once per (n, p), however often the laws are asked.
         calls = Counter()
         real = modorder.fib_pair_mod
 
@@ -305,9 +305,12 @@ class TestRightOrderMemo:
         monkeypatch.setattr(modorder, "fib_pair_mod", counted)
         primes = (7, 11, 13)
         for _ in range(2):
-            verdicts = [verify_pplus1(n, p).theorem_checks["p-plus-1-identity"].verdict
-                        for n in (2, 3, 4) for p in primes]
-        assert [calls[(p + 1, p)] for p in primes] == [3, 3, 3]
+            reports = [right_order_reports(n, p) for n in (2, 3, 4) for p in primes]
+        for p in primes:
+            assert [calls[(k, p)] for k in (entry_point(p) - 1, p - 1, p + 1)] == [3, 3, 3]
+        assert sum(calls.values()) == 27
+        assert all(all(report.passed for report in r.values()) for r in reports)
+        verdicts = [r["p-plus-1"].theorem_checks["p-plus-1-identity"].verdict for r in reports]
         assert verdicts == [PASS, HYPOTHESIS_NOT_MET, PASS] * 3
 
     def test_one_order_per_n_p_under_threads(self, monkeypatch):
@@ -374,14 +377,29 @@ class TestRightOrderMemo:
         assert modorder._right_orders == {}
 
     def test_memo_holds_no_matrix(self, monkeypatch):
-        # The ladder is dropped after the fill; only integers, booleans
-        # and None stay behind.
+        # The ladder is dropped after the fill; the reports it leaves
+        # hold only strings, integers and None.
         monkeypatch.setattr(modorder, "_right_orders", {})
         for p in (2, 5, 11, 13):
             right_order_reports(6, p)
-        facts = list(modorder._right_orders.values())
-        assert len(facts) == 4
-        assert all(type(x) in (int, bool, type(None)) for fact in facts for x in fact)
+        memo = list(modorder._right_orders.values())
+        assert len(memo) == 4
+        for report in (r for reports in memo for r in reports.values()):
+            checks = report.theorem_checks.values()
+            leaves = [*report[:-1],  # every field but theorem_checks
+                      *(check.verdict for check in checks),
+                      *(v for check in checks for v in check.values.values())]
+            assert {type(x) for x in leaves} <= {int, str, type(None)}
+
+    def test_order_past_2p_plus_2_fails_the_bound(self, monkeypatch, capsys):
+        # R_4 mod 13 has order 28 = 2(p + 1), on the bound. An order search
+        # that finds 29 must fail within-2p-plus-2, and `order right` exits 1.
+        monkeypatch.setattr(modorder, "_right_orders", {})
+        monkeypatch.setattr(modorder, "_order", lambda ladder, bound: 2 * (13 + 1) + 1)
+        check = verify_order_bound(4, 13).theorem_checks["within-2p-plus-2"]
+        assert check == (FAIL, {"order": 29, "bound": 28})
+        assert cli.main(["order", "right", "4", "13"]) == 1
+        capsys.readouterr()
 
 
 RIGHT_LAWS = {"scalar-power": verify_scalar_power, "p-minus-1": verify_pminus1,
